@@ -18,8 +18,8 @@ from .formulas import (BoundRecord, FormulaError, f_bw, f_c4, f_con1_upper,
                        f_gks_lower, f_lll2_lower, f_ms_upper, f_sat_lll,
                        f_sat_lll1)
 from .graphs import (DegreeProfile, GraphBuilder, GraphError, TripartiteGraph,
-                     VertexRef, add_edge, degree_profile, host_nonedges,
-                     iso_equivalent, new_host, nonedges, remove_edge)
+                     VertexRef, degree_profile, host_nonedges, iso_equivalent,
+                     new_host)
 from .patterns import (Embedding, EmbeddingError, PatternError, PatternSpec,
                        is_valid_embedding, validate_embedding)
 from .search import (SearchError, SearchResult, enumerate_optima, sat_exact,

@@ -15,50 +15,32 @@ vertex sets, so the agreement tests exercise the rigidity argument.
 
 For bipartite patterns (p = 0) the two classes may split across parts; the
 search enumerates the assignments of parts to the two sides (no part may
-host vertices of both classes) and backtracks inside each assignment.
+host vertices of both classes).
+
+Either way a layout gives each class a tuple of parts, and the class's
+candidates are one int mask over those parts' vertices laid end to end.
+Classes are filled in a fixed order and members picked from set bits in
+ascending order, each pick narrowing the masks of the classes still to
+fill, so a layout yields its lexicographically first embedding.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Optional, Sequence
+from functools import lru_cache
+from typing import Optional
 
 from .graphs import PARTS, VertexRef, iter_bits
 from .patterns import Embedding, PatternSpec
-
-_ROLES = ("X", "Y")
 
 
 class ContainmentError(ValueError):
     """Invalid containment query."""
 
 
-class _VirtualEdgeView:
-    """Read-only view of a graph with one extra edge, avoiding a copy."""
-
-    __slots__ = ("_g", "part_sizes", "_u", "_v")
-
-    def __init__(self, g, u: VertexRef, v: VertexRef):
-        self._g = g
-        self.part_sizes = g.part_sizes
-        self._u = u
-        self._v = v
-
-    def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
-        mask = self._g.neighbors_mask(part, index, other_part)
-        u, v = self._u, self._v
-        if part == u.part and index == u.index and other_part == v.part:
-            mask |= 1 << (v.index - 1)
-        elif part == v.part and index == v.index and other_part == u.part:
-            mask |= 1 << (u.index - 1)
-        return mask
-
-
 def contains(g, pat: PatternSpec) -> Optional[Embedding]:
     """First embedding of pat in g under the fixed exploration order, or None."""
-    if pat.p >= 1:
-        return _search_tripartite(g, pat, required=())
-    return _search_bipartite(g, pat, required=(), require_split=False)
+    return _search(g, pat)
 
 
 def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef, *,
@@ -78,12 +60,14 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef, *,
         raise ContainmentError(f"{u}{v} is already an edge")
     if check_free and contains(g, pat) is not None:
         raise ContainmentError("contains_after called on a graph that is not pattern-free")
-    view = _VirtualEdgeView(g, u, v)
-    if pat.p >= 1:
-        return _search_tripartite(view, pat, required=(u, v))
-    # u and v must land in opposite classes: a copy using them on the same
-    # side would avoid the new edge and thus already exist in g
-    return _search_bipartite(view, pat, required=(u, v), require_split=True)
+    # g + uv differs from g in the two rows that uv touches; copy just those
+    rows = {(x.part, x.index, y.part): g.neighbors_mask(x.part, x.index, y.part)
+            | 1 << (y.index - 1) for x, y in ((u, v), (v, u))}
+
+    def nbr_after(i: int, a: int, j: int) -> int:
+        return rows.get((i, a, j)) or g.neighbors_mask(i, a, j)
+
+    return _search(g, pat, ((u.part, u.index), (v.part, v.index)), nbr_after)
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -125,8 +109,6 @@ def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
     return None
 
 
-# -- three nonempty classes ---------------------------------------------------
-
 def _assignments(sizes: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     """Class-to-part bijections in lexicographic order.
 
@@ -142,134 +124,113 @@ def _assignments(sizes: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     return out
 
 
-def _search_tripartite(g, pat: PatternSpec, required: Sequence[VertexRef]) -> Optional[Embedding]:
-    sizes = pat.sizes
-    ns = g.part_sizes
-    # fill the small classes first; ties broken by class index
-    order = sorted(range(3), key=lambda c: (sizes[c], c))
-    for assignment in _assignments(sizes):
-        if any(ns[assignment[c] - 1] < sizes[c] for c in range(3)):
-            continue
-        req_by_class: dict[int, tuple[int, ...]] = {}
-        feasible = True
-        for r in required:
-            c = assignment.index(r.part)
-            cur = req_by_class.get(c, ())
-            if len(cur) + 1 > sizes[c]:
-                feasible = False
-                break
-            req_by_class[c] = cur + (r.index,)
-        if not feasible:
-            continue
-        found = _fill_classes(g, sizes, order, assignment, req_by_class)
-        if found is not None:
-            classes = tuple(frozenset(VertexRef(assignment[c], b) for b in found[c])
-                            for c in range(3))
-            return Embedding(classes)
+@lru_cache(maxsize=256)
+def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
+    """Class sizes, fill order, and in exploration order every layout that
+    can hold the classes.  A layout gives each class its (part, bit offset)
+    pairs and the mask of all its vertices, and each part its (class, offset)."""
+    if pat.p >= 1:
+        sizes = pat.sizes
+        # fill the small classes first; ties broken by class index
+        order = tuple(sorted(range(3), key=lambda c: (sizes[c], c)))
+        groups = [tuple((i,) for i in perm) for perm in _assignments(sizes)]
+    else:
+        # the Y class first; X is then read off its common neighbourhood
+        sizes, order = (pat.ell, pat.m), (1, 0)
+        groups = [tuple(tuple(i for i in PARTS if roles[i - 1] == c) for c in (0, 1))
+                  for roles in itertools.product((0, 1), repeat=3)]
+    layouts = []
+    for group in groups:
+        spans, full, where = [], [], [None] * 3
+        for c, parts in enumerate(group):
+            off = 0
+            for i in parts:
+                where[i - 1] = (c, off)
+                off += ns[i - 1]
+            spans.append(tuple((i, where[i - 1][1]) for i in parts))
+            full.append((1 << off) - 1)
+        if all(m.bit_count() >= size for m, size in zip(full, sizes)):
+            layouts.append((tuple(spans), tuple(full), tuple(where)))
+    return sizes, order, tuple(layouts)
+
+
+def _locate(span, bit: int) -> tuple[int, int]:
+    """(part, index) of the vertex at 1-based position bit of a class mask."""
+    for i, off in reversed(span):
+        if bit > off:
+            break
+    return i, bit - off
+
+
+def _row(nbr, i: int, a: int, span) -> int:
+    """Neighbours of v_i^a among a class's vertices, as a mask over them."""
+    row = 0
+    for j, off in span:
+        row |= nbr(i, a, j) << off
+    return row
+
+
+def _search(g, pat: PatternSpec, required=(), nbr_req=None) -> Optional[Embedding]:
+    """First embedding over all layouts that uses every (part, index) in
+    ``required``, whose rows are read through ``nbr_req``.  Picked members
+    are never required vertices, so their rows are read from g."""
+    nbr = g.neighbors_mask
+    sizes, order, layouts = _layouts(pat, g.part_sizes)
+    for spans, full, where in layouts:
+        cand, req = list(full), [0] * len(full)
+        for i, a in required:
+            c, off = where[i - 1]
+            if req[c]:
+                break  # both endpoints in one class: such a copy avoids uv
+            req[c] = 1 << (off + a - 1)
+            for c2, span in enumerate(spans):
+                if c2 != c:
+                    cand[c2] &= _row(nbr_req, i, a, span)
+        else:
+            if any(r & ~m for r, m in zip(req, cand)):
+                continue
+            chosen = _fill(nbr, spans, sizes, order, cand, req)
+            if chosen is not None:
+                return Embedding(tuple(
+                    frozenset(VertexRef(*_locate(span, b)) for b in iter_bits(m))
+                    for span, m in zip(spans, chosen)))
     return None
 
 
-def _fill_classes(g, sizes, order, assignment, req_by_class) -> Optional[dict[int, tuple[int, ...]]]:
-    chosen: dict[int, tuple[int, ...]] = {}
-    init = [(1 << g.part_sizes[assignment[c] - 1]) - 1 for c in range(3)]
+def _fill(nbr, spans, sizes, order, cand, req) -> Optional[list[int]]:
+    """Class masks of the first embedding in exploration order, or None.
 
-    def rec(k: int, cand: list[int]) -> bool:
-        if k == 3:
-            return True
-        c = order[k]
-        part = assignment[c]
-        need = sizes[c]
-        mask = cand[c]
-        req = req_by_class.get(c, ())
-        for r in req:
-            if not (mask >> (r - 1)) & 1:
-                return False
-        avail = [b for b in iter_bits(mask) if b not in req]
-        for extra in itertools.combinations(avail, need - len(req)):
-            sel = tuple(sorted(req + extra))
-            new_cand = list(cand)
-            ok = True
-            for k2 in range(k + 1, 3):
-                c2 = order[k2]
-                m2 = new_cand[c2]
-                for b in sel:
-                    m2 &= g.neighbors_mask(part, b, assignment[c2])
-                    if not m2:
-                        break
-                req2 = req_by_class.get(c2, ())
-                if any(not (m2 >> (r - 1)) & 1 for r in req2) or m2.bit_count() < sizes[c2]:
-                    ok = False
-                    break
-                new_cand[c2] = m2
-            if not ok:
-                continue
-            chosen[c] = sel
-            if rec(k + 1, new_cand):
+    Classes are filled in ``order`` and members in ascending bit order, so
+    the choices come in lexicographic order.  A pick narrows the masks of
+    the later classes and is dropped as soon as one of them falls below its
+    class size.  Required members stay in every mask: ``cand`` arrives
+    narrowed to their neighbourhoods, so every pick is adjacent to them.
+    """
+    chosen = list(req)
+
+    def rec(k: int, cand: list[int], need: int, pool: int) -> bool:
+        if not need:
+            if k + 1 == len(order):
                 return True
-            del chosen[c]
+            c = order[k + 1]
+            return rec(k + 1, cand, sizes[c] - req[c].bit_count(), cand[c] & ~req[c])
+        c = order[k]
+        while pool.bit_count() >= need:
+            low = pool & -pool
+            pool ^= low
+            i, a = _locate(spans[c], low.bit_length())
+            narrowed = list(cand)
+            for c2 in order[k + 1:]:
+                m2 = cand[c2] & _row(nbr, i, a, spans[c2])
+                if m2.bit_count() < sizes[c2]:
+                    break
+                narrowed[c2] = m2
+            else:
+                chosen[c] |= low
+                if rec(k, narrowed, need - 1, pool):
+                    return True
+                chosen[c] ^= low
         return False
 
-    return chosen if rec(0, init) else None
-
-
-# -- bipartite patterns (p = 0) -----------------------------------------------
-
-def _search_bipartite(g, pat: PatternSpec, required: Sequence[VertexRef],
-                      require_split: bool) -> Optional[Embedding]:
-    ell, m = pat.ell, pat.m
-    ns = g.part_sizes
-    for roles in itertools.product(_ROLES, repeat=3):
-        xparts = [i for i in PARTS if roles[i - 1] == "X"]
-        yparts = [i for i in PARTS if roles[i - 1] == "Y"]
-        if sum(ns[i - 1] for i in xparts) < ell or sum(ns[i - 1] for i in yparts) < m:
-            continue
-        req_x = [r for r in required if roles[r.part - 1] == "X"]
-        req_y = [r for r in required if roles[r.part - 1] == "Y"]
-        if require_split and (len(req_x) != 1 or len(req_y) != 1):
-            continue
-        found = _fill_bipartite(g, ell, m, xparts, yparts, req_x, req_y)
-        if found is not None:
-            return Embedding(found)
-    return None
-
-
-def _fill_bipartite(g, ell: int, m: int, xparts: list[int], yparts: list[int],
-                    req_x: list[VertexRef], req_y: list[VertexRef]):
-    ns = g.part_sizes
-    y_all = [VertexRef(i, b) for i in yparts for b in range(1, ns[i - 1] + 1)]
-    if any(r not in y_all for r in req_y):
-        return None
-    y_rest = [y for y in y_all if y not in req_y]
-    if len(req_y) > m:
-        return None
-    for extra in itertools.combinations(y_rest, m - len(req_y)):
-        y_set = tuple(sorted(req_y + list(extra)))
-        x_class = _x_choices(g, ell, xparts, y_set, req_x)
-        if x_class is not None:
-            return (frozenset(x_class), frozenset(y_set))
-    return None
-
-
-def _x_choices(g, ell: int, xparts: list[int], y_set, req_x: list[VertexRef]):
-    # X vertices need no mutual edges, so the lexicographically first ell
-    # common neighbours of the Y class (forced ones included) always serve
-    cand: list[VertexRef] = []
-    for i in xparts:
-        mask = (1 << g.part_sizes[i - 1]) - 1
-        for y in y_set:
-            mask &= g.neighbors_mask(y.part, y.index, i)
-            if not mask:
-                break
-        for b in iter_bits(mask):
-            cand.append(VertexRef(i, b))
-    if any(r not in cand for r in req_x):
-        return None
-    if len(cand) < ell:
-        return None
-    chosen = list(req_x)
-    for c in cand:
-        if len(chosen) == ell:
-            break
-        if c not in chosen:
-            chosen.append(c)
-    return sorted(chosen) if len(chosen) == ell else None
+    c = order[0]
+    return chosen if rec(0, cand, sizes[c] - req[c].bit_count(), cand[c] & ~req[c]) else None

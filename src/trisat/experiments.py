@@ -24,7 +24,7 @@ rejected.  Rows come out in spec order with the fixed header
 ``construct`` fills the construction/formula columns, ``exact`` and
 ``greedy`` their respective value columns, and ``compare`` builds the
 construction and additionally runs greedy (always) and exact (when the
-host fits the default guard) for the construction's own pattern.  A run
+host has at most 16 edges) for the construction's own pattern.  A run
 may carry an optional ``out`` path: construction runs write the built
 graph there (edge-list format), search runs their result JSON.  Given
 fixed seeds the output is byte-for-byte reproducible.
@@ -84,7 +84,7 @@ def parse_spec(obj: object) -> ExperimentSpec:
         raise ExperimentError("'runs' must be a nonempty list")
     for k, run in enumerate(runs):
         _validate_run(run, k)
-    return ExperimentSpec(version=1, runs=tuple(json.dumps(r, sort_keys=True) for r in runs))
+    return ExperimentSpec(version=1, runs=tuple(runs))
 
 
 def _validate_run(run: object, k: int) -> None:
@@ -138,8 +138,7 @@ def run_table(spec_obj: object) -> str:
     """Execute a validated spec and render the CSV text (LF line endings)."""
     spec = parse_spec(spec_obj)
     lines = [CSV_HEADER]
-    for raw in spec.runs:
-        run = json.loads(raw)
+    for run in spec.runs:
         action, params = run["action"], run["params"]
         out_path = run.get("out")
         row = {"construction_edges": "", "formula_value": "", "greedy_min": "",

@@ -246,14 +246,6 @@ def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     return b.build()
 
 
-def add_edge(g: TripartiteGraph, u: VertexRef, v: VertexRef) -> TripartiteGraph:
-    return g.with_edge(u, v)
-
-
-def remove_edge(g: TripartiteGraph, u: VertexRef, v: VertexRef) -> TripartiteGraph:
-    return g.without_edge(u, v)
-
-
 @dataclass(frozen=True)
 class DegreeProfile:
     """Per-part minimum degrees and per-vertex degrees split by neighbour part."""
@@ -278,24 +270,6 @@ def degree_profile(g: TripartiteGraph) -> DegreeProfile:
             part_min = d if part_min is None else min(part_min, d)
         mins.append(part_min if part_min is not None else 0)
     return DegreeProfile(delta=tuple(mins), split=split)
-
-
-def nonedges(g: TripartiteGraph, host: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
-    """Host edges absent from g, in canonical order.
-
-    g must live on the same part sizes and be a subgraph of host.
-    """
-    if g.part_sizes != host.part_sizes:
-        raise GraphError(f"part sizes differ: {g.part_sizes} vs {host.part_sizes}")
-    if not g.is_subgraph_of(host):
-        raise GraphError("graph is not a subgraph of the given host")
-    out = []
-    for i, j in PAIR_ORDER:
-        for a in range(1, host.part_sizes[i - 1] + 1):
-            missing = host.neighbors_mask(i, a, j) & ~g.neighbors_mask(i, a, j)
-            for b in iter_bits(missing):
-                out.append((VertexRef(i, a), VertexRef(j, b)))
-    return out
 
 
 def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -41,6 +42,10 @@ from .verifier import is_saturated
 
 class SearchError(ValueError):
     """Invalid search query or violated search guard."""
+
+
+# frames kept free below the recursion limit for the callers of the search
+_STACK_MARGIN = 200
 
 
 class _BudgetExhausted(Exception):
@@ -303,6 +308,11 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         raise SearchError(
             f"host has {n_edges} edges, above the guard {max_host_edges}; "
             f"raise max_host_edges to search anyway")
+    # the depth-first search recurses once per host edge
+    if n_edges + _STACK_MARGIN > sys.getrecursionlimit():
+        raise SearchError(
+            f"host has {n_edges} edges, too deep for the recursion limit "
+            f"{sys.getrecursionlimit()}")
     nworkers = resolve_workers(workers)
     method = "exact"
     embeds = pattern_edge_masks(sizes, pat)
@@ -373,16 +383,6 @@ def enumerate_optima(host_sizes, pat: PatternSpec, node_budget: int | None = Non
                       workers=workers, max_host_edges=max_host_edges)
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    if hasattr(np, "bitwise_count"):
-        return np.bitwise_count(masks)
-    v = masks.astype(np.uint32)
-    v = v - ((v >> 1) & 0x55555555)
-    v = (v & 0x33333333) + ((v >> 2) & 0x33333333)
-    v = (v + (v >> 4)) & 0x0F0F0F0F
-    return (v * 0x01010101) >> 24
-
-
 def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
     """Scan all subgraphs of the host; oracle for :func:`sat_exact`.
 
@@ -414,7 +414,7 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
             sat &= has | comp
         else:
             sat &= has
-    counts = _popcounts(masks)
+    counts = np.bitwise_count(masks)
     hits = np.nonzero(sat)[0]
     value = int(counts[hits].min())
     winners = hits[counts[hits] == value]

@@ -6,7 +6,7 @@ from trisat import (ConstructionError, PatternSpec, construction1,
                     construction2, construction3, construction4,
                     construction5, construction_c4, f_con1_upper,
                     f_con3_upper, f_con4_upper, f_con5_upper, hub_sets,
-                    is_saturated, iso_equivalent, new_host, nonedges,
+                    host_nonedges, is_saturated, iso_equivalent, new_host,
                     residual_structure_check, residual_triple_edges)
 from trisat.constructions import build, smallest_guaranteed_n
 
@@ -25,8 +25,7 @@ def test_construction1_saturated():
 
 def test_construction1_nonedge_count_inside_host():
     g = construction1(2, 1, 7, 6, 6)
-    host = new_host(7, 6, 6)
-    assert len(nonedges(g, host)) == host.num_edges - g.num_edges
+    assert len(host_nonedges(g)) == new_host(7, 6, 6).num_edges - g.num_edges
 
 
 def test_construction1_rejects_small_host_without_force():

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from trisat import (ContainmentError, GraphBuilder, PatternError, PatternSpec,
-                    TripartiteGraph, VertexRef, construction1, construction4,
-                    contains, contains_after, contains_naive, new_host,
-                    validate_embedding)
+                    TripartiteGraph, VertexRef, construction1, construction3,
+                    construction4, construction_c4, contains, contains_after,
+                    contains_naive, new_host, validate_embedding)
 from conftest import PAIRS, random_graph, random_pattern, random_sizes
 
 
@@ -88,6 +88,25 @@ def test_contains_after_on_construction_nonedge():
     # v3^5 lost its edges to both endpoints, so the third vertex has index <= 4
     third = next(x for x in used if x.part == 3)
     assert third.index <= 4
+
+
+def test_contains_after_tripartite_golden_witness():
+    g = construction3(2, 2, 1, 6, 6, 6)
+    u, v = VertexRef(1, 2), VertexRef(2, 2)
+    emb = contains_after(g, PatternSpec(2, 2, 1), u, v)
+    assert emb is not None
+    assert emb.classes == (frozenset({VertexRef(1, 1), VertexRef(1, 2)}),
+                           frozenset({VertexRef(2, 1), VertexRef(2, 2)}),
+                           frozenset({VertexRef(3, 1)}))
+
+
+def test_contains_after_bipartite_golden_witness():
+    g = construction_c4(4, 4, 4)
+    u, v = VertexRef(2, 4), VertexRef(3, 4)
+    emb = contains_after(g, PatternSpec(2, 2, 0), u, v)
+    assert emb is not None
+    assert emb.classes == (frozenset({VertexRef(1, 1), VertexRef(3, 4)}),
+                           frozenset({VertexRef(2, 1), VertexRef(2, 4)}))
 
 
 def test_embedding_validator_rejects_tampering():

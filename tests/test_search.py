@@ -125,6 +125,12 @@ def test_guards():
         sat_exact((2, 3, 2), PatternSpec(1, 1, 1))  # host ordering
 
 
+def test_too_deep_search_raises_search_error():
+    # 1,200 host edges: the edge-by-edge recursion would pass Python's limit
+    with pytest.raises(SearchError, match="recursion limit"):
+        sat_exact((20, 20, 20), PatternSpec(1, 1, 1), max_host_edges=None, node_budget=5000)
+
+
 def test_guard_override():
     r = sat_exact((3, 3, 2), PatternSpec(2, 2, 1), workers=1, max_host_edges=21)
     assert r.value is not None

@@ -67,8 +67,14 @@ def test_monotone_refutation():
     g = construction1(1, 1, 4, 4, 4)
     pat = PatternSpec(1, 1, 1)
     for u, v in host_nonedges(g)[:6]:
-        rep = is_saturated(g.with_edge(u, v), (4, 4, 4), pat, early_exit=True)
+        h = g.with_edge(u, v)
+        rep = is_saturated(h, (4, 4, 4), pat, early_exit=True)
         assert not rep.is_pattern_free
+        # every nonedge of a graph that contains the pattern completes it
+        full = is_saturated(h, (4, 4, 4), pat, early_exit=False)
+        assert not full.is_pattern_free
+        assert full.violating_nonedges == []
+        assert full.checked_nonedges == len(host_nonedges(h))
 
 
 def test_size_mismatch_error():
