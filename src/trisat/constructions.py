@@ -17,18 +17,26 @@ edge lists):
 
 Residual circulants join the a-th residual vertex of one class to a cyclic
 window of positions in another, indices reduced via rho(x) = ((x-1) mod N) + 1.
-Generators enforce the regimes under which the saturation guarantee is
-proved; ``force=True`` builds outside them (the verifier can then judge the
-result).
+Generators refuse hosts outside the regimes under which saturation is
+proved.  Those regimes are the hypotheses of the matching closed forms, and
+their size thresholds are stated once, in :mod:`trisat.formulas`;
+``force=True`` builds outside them (the verifier can then judge the
+result).  Everything else stated per family -- builder, pattern, closed
+form, hub sets -- sits in one table that ``build``, ``pattern_for``,
+``formula_for``, ``hub_sets`` and ``smallest_guaranteed_n`` read.
 """
 
 from __future__ import annotations
 
-from .formulas import BoundRecord, f_c4, f_con1_upper, f_con3_upper, f_con4_upper, f_con5_upper, t_of
+from dataclasses import dataclass, replace
+from typing import Callable
+
+from .formulas import (BoundRecord, c4_threshold, con1_threshold, con3_threshold,
+                       con4_threshold, con5_threshold, f_c4, f_con1_upper,
+                       f_con3_upper, f_con4_upper, f_con5_upper, t_of)
 from .graphs import PAIR_ORDER, PARTS, GraphBuilder, TripartiteGraph, VertexRef
 from .patterns import PatternSpec
-
-CONSTRUCTION_NAMES = ("1", "2", "3", "4", "5", "c4")
+from .verifier import residual_structure_check
 
 
 class ConstructionError(ValueError):
@@ -50,7 +58,7 @@ def _ensure_edge(b: GraphBuilder, u: VertexRef, v: VertexRef) -> None:
         b.add_edge(u, v)
 
 
-def _join_sets(b: GraphBuilder, sets: dict[int, list[int]]) -> None:
+def _join_sets(b: GraphBuilder, sets: dict[int, range]) -> None:
     """Completely join each listed vertex set to both other parts."""
     ns = b.part_sizes
     for i in PARTS:
@@ -60,6 +68,29 @@ def _join_sets(b: GraphBuilder, sets: dict[int, list[int]]) -> None:
                     continue
                 for c in range(1, ns[j - 1] + 1):
                     _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
+
+
+def _residual_circulants(b: GraphBuilder, base: int, w: int) -> None:
+    """Between the residual ranges above ``base`` of parts i < j, join the
+    a-th residual vertex of part j to the cyclic window of w positions
+    starting at a in part i."""
+    res = [n - base for n in b.part_sizes]
+    for i, j in PAIR_ORDER:
+        for a in range(1, res[j - 1] + 1):
+            for off in range(w):
+                pos = _rho(a + off, res[i - 1])
+                _ensure_edge(b, VertexRef(j, base + a), VertexRef(i, base + pos))
+
+
+def _check_regime(var: str, size: int, threshold: Callable[..., int], *args: int,
+                  force: bool) -> None:
+    """Refuse a host below the closed form's size threshold unless forced."""
+    bound = threshold(*args)
+    if size < bound and not force:
+        named = f"{threshold.__name__}({', '.join(map(str, args))})"
+        raise ConstructionError(
+            f"saturation is guaranteed only for {var} >= {named} = {bound}, got {var}={size} "
+            f"(pass force=True to build anyway)")
 
 
 # -- constructions 1 and 2 -----------------------------------------------------
@@ -74,19 +105,14 @@ def _check_con1_params(l: int, m: int, n1: int, n2: int, n3: int, force: bool) -
     if l > m and m >= n3:
         raise ConstructionError(
             f"the residual windows need m < n3, got m={m}, n3={n3}")
-    bound = max(l + 2, 3 * l - 2 * m - 1)
-    if n3 < bound and not force:
-        raise ConstructionError(
-            f"saturation is guaranteed only for n3 >= max(l+2, 3l-2m-1) = {bound}, got n3={n3} "
-            f"(pass force=True to build anyway)")
+    _check_regime("n3", n3, con1_threshold, l, m, force=force)
 
 
 def _con1_body(l: int, m: int, n1: int, n2: int, n3: int) -> GraphBuilder:
     """Hub joins plus residual windows, before any edge removal."""
     b = GraphBuilder((n1, n2, n3))
     ns = (n1, n2, n3)
-    hubs = {i: list(range(ns[i - 1] - m + 1, ns[i - 1] + 1)) for i in PARTS}
-    _join_sets(b, hubs)
+    _join_sets(b, {i: _FAMILIES["1"].hubs(ns[i - 1], l, m) for i in PARTS})
     w = l - m
     if w > 0:
         # windows live on the residual index ranges [n_j - m]
@@ -160,27 +186,28 @@ def construction3(l: int, m: int, p: int, n1: int, n2: int, n3: int, *,
         raise ConstructionError(f"need n1 >= n2 >= n3 >= 1, got ({n1},{n2},{n3})")
     if m - 1 > n3:
         raise ConstructionError(f"hub size m-1={m - 1} exceeds the smallest part {n3}")
-    if n3 < l and not force:
-        raise ConstructionError(
-            f"saturation is guaranteed only for n3 >= l = {l}, got n3={n3} "
-            f"(pass force=True to build anyway)")
+    _check_regime("n3", n3, con3_threshold, l, force=force)
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
-    hubs = {i: list(range(1, m)) for i in PARTS}
-    _join_sets(b, hubs)
-    w = l - m
-    if w > 0:
-        res_sizes = [n - m + 1 for n in ns]
-        for i, j in PAIR_ORDER:
-            ni_r, nj_r = res_sizes[i - 1], res_sizes[j - 1]
-            for a in range(1, nj_r + 1):
-                for off in range(w):
-                    pos = _rho(a + off, ni_r)
-                    _ensure_edge(b, VertexRef(j, m - 1 + a), VertexRef(i, m - 1 + pos))
+    _join_sets(b, {i: _FAMILIES["3"].hubs(ns[i - 1], l, m) for i in PARTS})
+    _residual_circulants(b, m - 1, l - m)
     return b.build()
 
 
 # -- constructions 4 and 5 (balanced hosts) -------------------------------------
+
+def _balanced_body(n: int, s: int, t: int) -> GraphBuilder:
+    """K_{n,n,n} builder with hubs S_i = {v_i^1..v_i^s} joined to everything
+    and triangles T_i = {v_i^{s+1}..v_i^{s+t}} completely joined to each other."""
+    b = GraphBuilder((n, n, n))
+    _join_sets(b, {i: range(1, s + 1) for i in PARTS})
+    for i in PARTS:
+        j = _cyc(i, 1)
+        for a in range(s + 1, s + t + 1):
+            for c in range(s + 1, s + t + 1):
+                _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
+    return b
+
 
 def residual_triple_edges(n_res: int, w: int) -> list[tuple[int, int, int, int]]:
     """Edges of a triangle-free tripartite graph on three position ranges
@@ -249,27 +276,17 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     vertex has exactly l-m residual neighbours in each other part, and the
     three edges v_1^1 v_2^1, v_1^1 v_3^1, v_2^1 v_3^1 removed.
 
-    After building, the residual triple is re-checked for triangle-freeness
-    and exact degrees; a failure signals an invalid parameter regime rather
-    than returning a silently wrong graph.
+    After building, :func:`residual_structure_check` re-checks the residual
+    triple for triangle-freeness and exact degrees; a failure signals an
+    invalid parameter regime rather than returning a silently wrong graph.
     """
     if not (l >= m >= 1):
         raise ConstructionError(f"need l >= m >= 1, got l={l}, m={m}")
     t = t_of(l, m)
-    bound = max(l + 2, 3 * l + t - 2 * m - 2)
-    if n < bound and not force:
-        raise ConstructionError(
-            f"saturation is guaranteed only for n >= max(l+2, 3l+t-2m-2) = {bound}, "
-            f"got n={n} (pass force=True to build anyway)")
+    _check_regime("n", n, con4_threshold, l, m, force=force)
     if n < m + t + 1:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m}) plus triangles ({t})")
-    b = GraphBuilder((n, n, n))
-    _join_sets(b, {i: list(range(1, m + 1)) for i in PARTS})
-    for i in PARTS:
-        j = _cyc(i, 1)
-        for a in range(m + 1, m + t + 1):
-            for c in range(m + 1, m + t + 1):
-                _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
+    b = _balanced_body(n, m, t)
     n_res = n - m - t
     w = l - m
     base = m + t
@@ -288,27 +305,13 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     b.remove_edge(VertexRef(2, 1), VertexRef(3, 1))
     g = b.build()
     if not force:
-        _assert_residual_triple(g, base, n_res, w)
+        res = residual_structure_check(g, hub_sets("4", l, m, g.part_sizes))
+        if not res.triangle_free or any(d != w for counts in res.degrees.values()
+                                        for d in counts.values()):
+            raise ConstructionError(
+                f"the residual triple is not triangle-free with every residual degree {w}: "
+                f"invalid parameter regime")
     return g
-
-
-def _assert_residual_triple(g: TripartiteGraph, base: int, n_res: int, w: int) -> None:
-    res_mask = ((1 << n_res) - 1) << base
-    for i, j in PAIR_ORDER:
-        for a in range(base + 1, base + n_res + 1):
-            deg = (g.neighbors_mask(i, a, j) & res_mask).bit_count()
-            if deg != w:
-                raise ConstructionError(
-                    f"residual vertex v{i}^{a} has {deg} residual neighbours in part {j}, "
-                    f"expected {w}: invalid parameter regime")
-    for a in range(base + 1, base + n_res + 1):
-        m2 = g.neighbors_mask(1, a, 2) & res_mask
-        m3 = g.neighbors_mask(1, a, 3) & res_mask
-        for bb in range(base + 1, base + n_res + 1):
-            if (m2 >> (bb - 1)) & 1:
-                if g.neighbors_mask(2, bb, 3) & m3:
-                    raise ConstructionError(
-                        "residual triple contains a triangle: invalid parameter regime")
 
 
 def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> TripartiteGraph:
@@ -321,10 +324,7 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     if not (l >= m > p >= 1):
         raise ConstructionError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
     t = t_of(l, m)
-    if n < l + t - 1 and not force:
-        raise ConstructionError(
-            f"saturation is guaranteed only for n >= l + t - 1 = {l + t - 1}, got n={n} "
-            f"(pass force=True to build anyway)")
+    _check_regime("n", n, con5_threshold, l, m, force=force)
     if n < (m - 1) + t:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m - 1}) plus triangles ({t})")
     n_res = n - (m - 1) - t
@@ -332,19 +332,8 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     if w > n_res:
         raise ConstructionError(
             f"residual parts of size {n_res} cannot carry an {w}-regular bipartite graph")
-    b = GraphBuilder((n, n, n))
-    _join_sets(b, {i: list(range(1, m)) for i in PARTS})
-    for i in PARTS:
-        j = _cyc(i, 1)
-        for a in range(m, m + t):
-            for c in range(m, m + t):
-                _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
-    base = m - 1 + t
-    for i, j in PAIR_ORDER:
-        for a in range(1, n_res + 1):
-            for off in range(w):
-                pos = _rho(a + off, n_res)
-                _ensure_edge(b, VertexRef(j, base + a), VertexRef(i, base + pos))
+    b = _balanced_body(n, m - 1, t)
+    _residual_circulants(b, m - 1 + t, w)
     return b.build()
 
 
@@ -354,10 +343,7 @@ def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> Tripar
     """C4-saturated subgraph with edge set {v_i^1 v_{i+1}^j : i in [3], j in [n_{i+1}]}."""
     if not (n1 >= n2 >= n3 >= 1):
         raise ConstructionError(f"need n1 >= n2 >= n3 >= 1, got ({n1},{n2},{n3})")
-    if n3 < 2 and not force:
-        raise ConstructionError(
-            f"C4 saturation is guaranteed only for n3 >= 2, got n3={n3} "
-            f"(pass force=True to build anyway)")
+    _check_regime("n3", n3, c4_threshold, force=force)
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
     for i in PARTS:
@@ -367,98 +353,98 @@ def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> Tripar
     return b.build()
 
 
-# -- dispatch helpers ------------------------------------------------------------
+# -- the family table ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _Family:
+    """Everything stated about one construction family."""
+
+    takes: str  # parameters besides the host: "", "lm" or "lmp"
+    builder: Callable[..., TripartiteGraph]  # (ns, l, m, p, variant, force)
+    pattern: Callable[..., PatternSpec]  # (l, m, p)
+    formula: Callable[..., BoundRecord]  # (ns, l, m, p)
+    hubs: Callable[[int, int, int], range]  # (part size, l, m) -> S_i plus T_i
+    threshold: Callable[[int, int], int]  # (l, m) -> smallest n3, or n if balanced
+
+
+def _balanced(which: str, ns: tuple[int, int, int]) -> int:
+    """The part size n of a balanced host K_{n,n,n}."""
+    if not ns[0] == ns[1] == ns[2]:
+        raise ConstructionError(f"construction {which} needs a balanced host n1 = n2 = n3")
+    return ns[0]
+
+
+_CON1 = _Family(
+    "lm", lambda ns, l, m, p, variant, force: construction1(l, m, *ns, force=force),
+    lambda l, m, p: PatternSpec(l, m, m), lambda ns, l, m, p: f_con1_upper(*ns, l, m),
+    lambda n, l, m: range(n - m + 1, n + 1), con1_threshold)
+
+_FAMILIES = {
+    "1": _CON1,
+    "2": replace(_CON1, builder=lambda ns, l, m, p, variant, force: construction2(
+        variant, l, m, *ns, force=force)),
+    "3": _Family(
+        "lmp", lambda ns, l, m, p, variant, force: construction3(l, m, p, *ns, force=force),
+        lambda l, m, p: PatternSpec(l, m, p), lambda ns, l, m, p: f_con3_upper(*ns, l, m, p),
+        lambda n, l, m: range(1, m), lambda l, m: con3_threshold(l)),
+    "4": _Family(
+        "lm", lambda ns, l, m, p, variant, force: construction4(
+            l, m, _balanced("4", ns), force=force),
+        lambda l, m, p: PatternSpec(l, m, m),
+        lambda ns, l, m, p: f_con4_upper(_balanced("4", ns), l, m),
+        lambda n, l, m: range(1, m + t_of(l, m) + 1), con4_threshold),
+    "5": _Family(
+        "lmp", lambda ns, l, m, p, variant, force: construction5(
+            l, m, p, _balanced("5", ns), force=force),
+        lambda l, m, p: PatternSpec(l, m, p),
+        lambda ns, l, m, p: f_con5_upper(_balanced("5", ns), l, m, p),
+        lambda n, l, m: range(1, m + t_of(l, m)), con5_threshold),
+    "c4": _Family(
+        "", lambda ns, l, m, p, variant, force: construction_c4(*ns, force=force),
+        lambda l, m, p: PatternSpec(2, 2, 0), lambda ns, l, m, p: f_c4(*ns),
+        lambda n, l, m: range(1, 2), lambda l, m: c4_threshold()),
+}
+
+CONSTRUCTION_NAMES = tuple(_FAMILIES)
+
+
+def _family(which: str) -> _Family:
+    if which not in _FAMILIES:
+        raise ConstructionError(f"unknown construction {which!r}; known: {CONSTRUCTION_NAMES}")
+    return _FAMILIES[which]
+
 
 def hub_sets(which: str, l: int | None, m: int | None,
              sizes: tuple[int, int, int]) -> list[set[int]]:
     """Indices of the hub vertices (S_i plus T_i where present) per part."""
-    if which in ("1", "2"):
-        return [set(range(sizes[i - 1] - m + 1, sizes[i - 1] + 1)) for i in PARTS]
-    if which == "3":
-        return [set(range(1, m)) for _ in PARTS]
-    if which == "4":
-        t = t_of(l, m)
-        return [set(range(1, m + t + 1)) for _ in PARTS]
-    if which == "5":
-        t = t_of(l, m)
-        return [set(range(1, m + t)) for _ in PARTS]
-    if which == "c4":
-        return [{1} for _ in PARTS]
-    raise ConstructionError(f"unknown construction {which!r}")
+    return [set(_family(which).hubs(n, l, m)) for n in sizes]
 
 
 def pattern_for(which: str, l: int | None = None, m: int | None = None,
                 p: int | None = None) -> PatternSpec:
     """The pattern a construction is saturated for."""
-    if which in ("1", "2", "4"):
-        return PatternSpec(l, m, m)
-    if which in ("3", "5"):
-        return PatternSpec(l, m, p)
-    if which == "c4":
-        return PatternSpec(2, 2, 0)
-    raise ConstructionError(f"unknown construction {which!r}")
+    return _family(which).pattern(l, m, p)
 
 
 def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
                 m: int | None = None, p: int | None = None) -> BoundRecord:
     """The closed-form edge count matching a construction."""
-    if which in ("1", "2"):
-        return f_con1_upper(n1, n2, n3, l, m)
-    if which == "3":
-        return f_con3_upper(n1, n2, n3, l, m, p)
-    if which == "4":
-        if not n1 == n2 == n3:
-            raise ConstructionError("the balanced construction needs n1 = n2 = n3")
-        return f_con4_upper(n1, l, m)
-    if which == "5":
-        if not n1 == n2 == n3:
-            raise ConstructionError("the balanced construction needs n1 = n2 = n3")
-        return f_con5_upper(n1, l, m, p)
-    if which == "c4":
-        return f_c4(n1, n2, n3)
-    raise ConstructionError(f"unknown construction {which!r}")
+    return _family(which).formula((n1, n2, n3), l, m, p)
 
 
 def build(which: str, n1: int, n2: int, n3: int, l: int | None = None,
           m: int | None = None, p: int | None = None, variant: int = 1, *,
           force: bool = False) -> TripartiteGraph:
     """Dispatch a construction by name ('1'..'5' or 'c4')."""
-    if which in ("1", "2", "3", "4", "5") and (l is None or m is None):
+    fam = _family(which)
+    if fam.takes and (l is None or m is None):
         raise ConstructionError(f"construction {which} needs parameters l and m")
-    if which == "1":
-        return construction1(l, m, n1, n2, n3, force=force)
-    if which == "2":
-        return construction2(variant, l, m, n1, n2, n3, force=force)
-    if which == "3":
-        if p is None:
-            raise ConstructionError("construction 3 needs parameter p")
-        return construction3(l, m, p, n1, n2, n3, force=force)
-    if which == "4":
-        if not n1 == n2 == n3:
-            raise ConstructionError("construction 4 needs a balanced host n1 = n2 = n3")
-        return construction4(l, m, n1, force=force)
-    if which == "5":
-        if p is None:
-            raise ConstructionError("construction 5 needs parameter p")
-        if not n1 == n2 == n3:
-            raise ConstructionError("construction 5 needs a balanced host n1 = n2 = n3")
-        return construction5(l, m, p, n1, force=force)
-    if which == "c4":
-        return construction_c4(n1, n2, n3, force=force)
-    raise ConstructionError(f"unknown construction {which!r}; known: {CONSTRUCTION_NAMES}")
+    if fam.takes == "lmp" and p is None:
+        raise ConstructionError(f"construction {which} needs parameter p")
+    return fam.builder((n1, n2, n3), l, m, p, variant, force)
 
 
 def smallest_guaranteed_n(which: str, l: int | None = None, m: int | None = None,
                           p: int | None = None) -> int:
     """Smallest balanced host size for which saturation is guaranteed."""
-    if which in ("1", "2"):
-        return max(l + 2, 3 * l - 2 * m - 1)
-    if which == "3":
-        return l
-    if which == "4":
-        return max(l + 2, 3 * l + t_of(l, m) - 2 * m - 2)
-    if which == "5":
-        return l + t_of(l, m) - 1
-    if which == "c4":
-        return 2
-    raise ConstructionError(f"unknown construction {which!r}")
+    return _family(which).threshold(l, m)

@@ -115,12 +115,12 @@ def _validate_run(run: object, k: int) -> None:
                 raise ExperimentError(f"{where}: unknown construction {val!r}")
         elif key == "pattern":
             if (not isinstance(val, list) or len(val) != 3
-                    or not all(isinstance(x, int) for x in val)):
+                    or not all(type(x) is int for x in val)):
                 raise ExperimentError(f"{where}: pattern must be [l, m, p] integers")
         elif key == "force":
             if not isinstance(val, bool):
                 raise ExperimentError(f"{where}: force must be a boolean")
-        elif not isinstance(val, int) or isinstance(val, bool):
+        elif type(val) is not int:
             raise ExperimentError(f"{where}: param {key} must be an integer")
 
 

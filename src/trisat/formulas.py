@@ -9,7 +9,9 @@ certified by a finite check; such records carry ``hypothesis_satisfied =
 False`` plus an explanatory note, never a silent True.
 
 Shape preconditions (orderings, positivity) raise :class:`FormulaError`;
-size thresholds only toggle the hypothesis flag.
+size thresholds only toggle the hypothesis flag.  The size thresholds of
+the construction bounds are stated once, in the ``*_threshold`` functions,
+which the constructions also read to refuse hosts outside the regime.
 """
 
 from __future__ import annotations
@@ -55,13 +57,38 @@ def t_of(l: int, m: int) -> int:
     return (l - m) // 2
 
 
+def con1_threshold(l: int, m: int) -> int:
+    """Smallest n3 at which the hub construction for K_{l,m,m} is saturated."""
+    return max(l + 2, 3 * l - 2 * m - 1)
+
+
+def con3_threshold(l: int) -> int:
+    """Smallest n3 at which the small-hub construction for K_{l,m,p} is saturated."""
+    return l
+
+
+def con4_threshold(l: int, m: int) -> int:
+    """Smallest n at which the balanced construction for K_{l,m,m} is saturated."""
+    return max(l + 2, 3 * l + t_of(l, m) - 2 * m - 2)
+
+
+def con5_threshold(l: int, m: int) -> int:
+    """Smallest n at which the balanced construction for K_{l,m,p} is saturated."""
+    return l + t_of(l, m) - 1
+
+
+def c4_threshold() -> int:
+    """Smallest n3 at which the three-star construction is C4-saturated."""
+    return 2
+
+
 def f_con1_upper(n1: int, n2: int, n3: int, l: int, m: int) -> BoundRecord:
     """Edge count of the hub construction for K_{l,m,m}, an upper bound on sat."""
     _check_host_order(n1, n2, n3)
     if not l >= m >= 1:
         raise FormulaError(f"need l >= m >= 1, got l={l}, m={m}")
     value = 2 * m * (n1 + n2 + n3) + (l - m) * (n2 + 2 * n3) - 3 * l * m - 3
-    hyp = n3 >= max(l + 2, 3 * l - 2 * m - 1)
+    hyp = n3 >= con1_threshold(l, m)
     return BoundRecord(
         name="con1_upper",
         params={"n1": n1, "n2": n2, "n3": n3, "l": l, "m": m},
@@ -76,7 +103,7 @@ def f_con3_upper(n1: int, n2: int, n3: int, l: int, m: int, p: int) -> BoundReco
         raise FormulaError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
     value = (2 * (m - 1) * (n1 + n2 + n3) + (l - m) * (n2 + 2 * n3)
              - 3 * l * (m - 1) + 3 * m - 3)
-    hyp = n3 >= l
+    hyp = n3 >= con3_threshold(l)
     return BoundRecord(
         name="con3_upper",
         params={"n1": n1, "n2": n2, "n3": n3, "l": l, "m": m, "p": p},
@@ -92,7 +119,7 @@ def f_con4_upper(n: int, l: int, m: int) -> BoundRecord:
         raise FormulaError(f"need n >= 1, got n={n}")
     t = t_of(l, m)
     value = 3 * (l + m) * n - 3 * (l - m - t) * t - 3 * l * m - 3
-    hyp = n >= max(l + 2, 3 * l + t - 2 * m - 2)
+    hyp = n >= con4_threshold(l, m)
     return BoundRecord(
         name="con4_upper", params={"n": n, "l": l, "m": m},
         value=value, kind="upper", hypothesis_satisfied=hyp,
@@ -107,7 +134,7 @@ def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
         raise FormulaError(f"need n >= 1, got n={n}")
     t = t_of(l, m)
     value = 3 * (l + m - 2) * n - 3 * (m - 1) * (l - 1) + 3 * t * t - 3 * (l - m) * t
-    hyp = n >= l + t - 1
+    hyp = n >= con5_threshold(l, m)
     return BoundRecord(
         name="con5_upper", params={"n": n, "l": l, "m": m, "p": p},
         value=value, kind="upper", hypothesis_satisfied=hyp,
@@ -172,7 +199,7 @@ def f_c4(n1: int, n2: int, n3: int) -> BoundRecord:
     _check_host_order(n1, n2, n3)
     return BoundRecord(
         name="c4", params={"n1": n1, "n2": n2, "n3": n3},
-        value=n1 + n2 + n3, kind="exact", hypothesis_satisfied=n3 >= 2,
+        value=n1 + n2 + n3, kind="exact", hypothesis_satisfied=n3 >= c4_threshold(),
         anchor="saturation number of C4 in K_{n1,n2,n3}")
 
 

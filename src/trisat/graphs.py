@@ -130,15 +130,6 @@ class TripartiteGraph:
         return [VertexRef(i, a) for i in PARTS
                 for a in range(1, self.part_sizes[i - 1] + 1)]
 
-    def is_subgraph_of(self, other: "TripartiteGraph") -> bool:
-        if self.part_sizes != other.part_sizes:
-            return False
-        for i, j in PAIR_ORDER:
-            mine, theirs = self._rows[(i, j)], other._rows[(i, j)]
-            if any(m & ~t for m, t in zip(mine, theirs)):
-                return False
-        return True
-
     # -- derivation ----------------------------------------------------------
 
     def with_edge(self, u: VertexRef, v: VertexRef) -> "TripartiteGraph":

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .containment import _assignments, contains_after
-from .graphs import PAIR_ORDER, PARTS, GraphBuilder, TripartiteGraph, VertexRef, iso_equivalent
+from .containment import _layouts, _locate, contains_after
+from .graphs import PAIR_ORDER, GraphBuilder, TripartiteGraph, VertexRef, iso_equivalent, iter_bits
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -118,44 +118,20 @@ def _mask_to_graph(sizes: tuple[int, int, int], edges: list, mask: int) -> Tripa
 
 def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[int]:
     """Edge bitmasks (over the canonical host edge list) of every embedding
-    of the pattern in the complete host, deduplicated and sorted."""
-    edges = _host_edge_list(sizes)
-    idx = {e: k for k, e in enumerate(edges)}
-
-    def cross_mask(groups: list[list[tuple[int, int]]]) -> int:
-        mask = 0
-        for g1 in range(len(groups)):
-            for g2 in range(g1 + 1, len(groups)):
-                for (i, a) in groups[g1]:
-                    for (j, b) in groups[g2]:
-                        key = (i, a, j, b) if i < j else (j, b, i, a)
-                        mask |= 1 << idx[key]
-        return mask
-
+    of the pattern in the complete host, deduplicated and sorted.  The
+    class-to-part layouts are the ones the containment search explores."""
+    idx = {e: k for k, e in enumerate(_host_edge_list(sizes))}
+    class_sizes, _, layouts = _layouts(pat, tuple(sizes))
     masks: set[int] = set()
-    if pat.p >= 1:
-        for assignment in _assignments(pat.sizes):
-            if any(sizes[assignment[c] - 1] < pat.sizes[c] for c in range(3)):
-                continue
-            ranges = [list(range(1, sizes[assignment[c] - 1] + 1)) for c in range(3)]
-            for sel0 in itertools.combinations(ranges[0], pat.sizes[0]):
-                for sel1 in itertools.combinations(ranges[1], pat.sizes[1]):
-                    for sel2 in itertools.combinations(ranges[2], pat.sizes[2]):
-                        groups = [[(assignment[c], x) for x in sel]
-                                  for c, sel in enumerate((sel0, sel1, sel2))]
-                        masks.add(cross_mask(groups))
-    else:
-        ell, m = pat.ell, pat.m
-        for roles in itertools.product(("X", "Y"), repeat=3):
-            xs = [(i, a) for i in PARTS if roles[i - 1] == "X"
-                  for a in range(1, sizes[i - 1] + 1)]
-            ys = [(i, a) for i in PARTS if roles[i - 1] == "Y"
-                  for a in range(1, sizes[i - 1] + 1)]
-            if len(xs) < ell or len(ys) < m:
-                continue
-            for xsel in itertools.combinations(xs, ell):
-                for ysel in itertools.combinations(ys, m):
-                    masks.add(cross_mask([list(xsel), list(ysel)]))
+    for spans, full, _ in layouts:
+        members = [[_locate(span, b) for b in iter_bits(m)] for span, m in zip(spans, full)]
+        for sel in itertools.product(*(itertools.combinations(vs, k)
+                                       for vs, k in zip(members, class_sizes))):
+            mask = 0
+            for s1, s2 in itertools.combinations(sel, 2):
+                for (i, a), (j, b) in itertools.product(s1, s2):
+                    mask |= 1 << idx[(i, a, j, b) if i < j else (j, b, i, a)]
+            masks.add(mask)
     return sorted(masks)
 
 

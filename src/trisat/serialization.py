@@ -64,8 +64,9 @@ def graph_from_json_obj(obj: object, where: str = "") -> TripartiteGraph:
     if unknown:
         raise FormatError(f"{tag}: unknown keys {sorted(unknown)}")
     parts = obj.get("parts")
+    # type(x) is int, not isinstance: JSON true/false decode to bool, an int subclass
     if (not isinstance(parts, list) or len(parts) != 3
-            or not all(isinstance(n, int) and n >= 1 for n in parts)):
+            or not all(type(n) is int and n >= 1 for n in parts)):
         raise FormatError(f"{tag}: 'parts' must be three positive integers")
     edges = obj.get("edges")
     if not isinstance(edges, list):
@@ -73,7 +74,7 @@ def graph_from_json_obj(obj: object, where: str = "") -> TripartiteGraph:
     b = GraphBuilder(tuple(parts))
     for k, row in enumerate(edges):
         if not (isinstance(row, list) and len(row) == 4
-                and all(isinstance(x, int) for x in row)):
+                and all(type(x) is int for x in row)):
             raise FormatError(f"{tag}: edges[{k}] must be four integers [i, a, j, b]")
         i, a, j, bb = row
         try:

@@ -8,7 +8,7 @@ from trisat import (ConstructionError, PatternSpec, construction1,
                     f_con3_upper, f_con4_upper, f_con5_upper, hub_sets,
                     host_nonedges, is_saturated, iso_equivalent, new_host,
                     residual_structure_check, residual_triple_edges)
-from trisat.constructions import build, smallest_guaranteed_n
+from trisat.constructions import build, formula_for, smallest_guaranteed_n
 
 
 def test_construction1_edge_counts_match_formula():
@@ -201,6 +201,17 @@ def test_constructions_deterministic():
         assert a == b and a.edges() == b.edges()
 
 
+def _regime_grid():
+    for l in range(1, 6):
+        for m in range(1, l + 1):
+            yield from [("1", l, m, None), ("4", l, m, None)]
+            if m >= 2:
+                yield ("2", l, m, None)
+            for p in range(1, m):
+                yield from [("3", l, m, p), ("5", l, m, p)]
+    yield ("c4", None, None, None)
+
+
 def test_smallest_guaranteed_n_values():
     assert smallest_guaranteed_n("1", 1, 1) == 3
     assert smallest_guaranteed_n("1", 3, 2) == 5
@@ -208,3 +219,27 @@ def test_smallest_guaranteed_n_values():
     assert smallest_guaranteed_n("4", 3, 1) == 6
     assert smallest_guaranteed_n("5", 4, 2, 1) == 4
     assert smallest_guaranteed_n("c4") == 2
+    # the refusal threshold, the smallest guaranteed n and the formula's
+    # hypothesis flag all change at the same host size, for every family
+    for which, l, m, p in _regime_grid():
+        n = smallest_guaranteed_n(which, l, m, p)
+        assert formula_for(which, n, n, n, l=l, m=m, p=p).hypothesis_satisfied
+        try:
+            build(which, n, n, n, l=l, m=m, p=p)
+        except ConstructionError as exc:
+            # construction 4 can still lack a triangle-free residual here
+            assert which == "4" and "no triangle-free residual" in str(exc)
+        if n == 1:
+            continue
+        below = (n - 1,) * 3
+        assert not formula_for(which, *below, l=l, m=m, p=p).hypothesis_satisfied
+        with pytest.raises(ConstructionError, match="force=True"):
+            build(which, *below, l=l, m=m, p=p)
+        if which == "5":
+            # one below the threshold the parts cannot hold the hubs, the
+            # triangles and an (l-m)-regular residual circulant, so the
+            # shape checks refuse it even when forced
+            with pytest.raises(ConstructionError, match="cannot"):
+                build(which, *below, l=l, m=m, p=p, force=True)
+        else:
+            assert build(which, *below, l=l, m=m, p=p, force=True).num_edges > 0

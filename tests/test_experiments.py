@@ -24,6 +24,10 @@ def test_schema_rejection():
         parse_spec(spec_of({"action": "greedy",
                             "params": {"n1": 1, "n2": 1, "n3": 1,
                                        "pattern": [1, 1], "trials": 1, "seed": 0}}))
+    with pytest.raises(ExperimentError):  # JSON booleans are not integers
+        parse_spec(spec_of({"action": "exact",
+                            "params": {"n1": 1, "n2": 1, "n3": 1,
+                                       "pattern": [True, True, False]}}))
 
 
 def test_run_table_reproducible():

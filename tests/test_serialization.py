@@ -53,6 +53,8 @@ def test_serialization_deterministic():
     (b'{"parts": [1, 1, 1], "edges": [[1, 1, 2]]}', "edges[0]"),
     (b'{"parts": [1, 1, 1], "edges": [[1, 1, 2, 1]], "foo": 1}', "unknown"),
     (b'{"parts": [1, 1, 1], "edges": ', "line 1"),         # truncated JSON
+    (b'{"parts":[true,true,true],"edges":[[1,true,2,1]]}', "parts"),  # JSON booleans
+    (b'{"parts":[1,1,1],"edges":[[1,true,2,1]]}', "edges[0]"),
 ])
 def test_malformed_inputs_carry_position(data, fragment):
     with pytest.raises(FormatError) as err:
