@@ -21,7 +21,7 @@ from .graphs import (DegreeProfile, GraphBuilder, GraphError, TripartiteGraph,
                      VertexRef, degree_profile, host_nonedges, iso_equivalent,
                      new_host)
 from .patterns import (Embedding, EmbeddingError, PatternError, PatternSpec,
-                       is_valid_embedding, validate_embedding)
+                       validate_embedding)
 from .search import (SearchError, SearchResult, enumerate_optima, sat_exact,
                      sat_exhaustive, sat_greedy)
 from .serialization import FormatError, deserialize, serialize

@@ -43,13 +43,11 @@ def contains(g, pat: PatternSpec) -> Optional[Embedding]:
     return _search(g, pat)
 
 
-def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef, *,
-                   check_free: bool = False) -> Optional[Embedding]:
+def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[Embedding]:
     """Embedding of pat in g + uv, restricted to embeddings using u and v.
 
     Sound only when g is already pattern-free (the caller's contract): an
-    embedding avoiding the new edge would have existed in g.  Pass
-    ``check_free=True`` to assert the contract (costly; for verification).
+    embedding avoiding the new edge would have existed in g.
     """
     if u.part == v.part:
         raise ContainmentError(f"{u} and {v} lie in the same part")
@@ -58,8 +56,6 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef, *,
             raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
     if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    if check_free and contains(g, pat) is not None:
-        raise ContainmentError("contains_after called on a graph that is not pattern-free")
     # g + uv differs from g in the two rows that uv touches; copy just those
     rows = {(x.part, x.index, y.part): g.neighbors_mask(x.part, x.index, y.part)
             | 1 << (y.index - 1) for x, y in ((u, v), (v, u))}

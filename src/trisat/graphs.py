@@ -90,9 +90,6 @@ class TripartiteGraph:
     def num_edges(self) -> int:
         return self._num_edges
 
-    def part_size(self, part: int) -> int:
-        return self.part_sizes[part - 1]
-
     def part_mask(self, part: int) -> int:
         return (1 << self.part_sizes[part - 1]) - 1
 

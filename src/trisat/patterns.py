@@ -103,11 +103,3 @@ def validate_embedding(g, pat: PatternSpec, emb: Embedding) -> None:
             raise EmbeddingError(f"a class spans several parts: {parts}")
         if len({ps[0] for ps in parts}) != 3:
             raise EmbeddingError(f"classes do not occupy three distinct parts: {parts}")
-
-
-def is_valid_embedding(g, pat: PatternSpec, emb: Embedding) -> bool:
-    try:
-        validate_embedding(g, pat, emb)
-    except EmbeddingError:
-        return False
-    return True

@@ -16,10 +16,14 @@ isomorphism.  :func:`sat_greedy` draws seeded random edge permutations and
 keeps each edge iff the graph stays pattern-free; the scan ends in a
 maximal pattern-free, hence saturated, subgraph.
 
-Exact search can split the branch tree into fixed subtrees solved
-independently (processes; ``TRISAT_THREADS`` caps the worker count), and
-results are identical for every worker count because subtrees never share
-incumbents and are merged in deterministic order.
+Exact search solves the branch tree as a list of subtrees, one per fixed
+prefix of include/exclude decisions, and merges their results in prefix
+order.  A sequential run is the one-subtree case (the empty prefix); with
+several workers the first decisions are fixed and the subtrees are solved
+in processes (``TRISAT_THREADS`` caps the worker count).  Value, status and
+witnesses do not depend on the worker count, because subtrees never share
+incumbents; ``nodes_explored`` does, since it counts the nodes of the
+subtrees the tree was split into.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -99,21 +104,14 @@ def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
     return sizes
 
 
-def _host_edge_list(sizes: tuple[int, int, int]) -> list[tuple[int, int, int, int]]:
-    out = []
-    for i, j in PAIR_ORDER:
-        for a in range(1, sizes[i - 1] + 1):
-            for b in range(1, sizes[j - 1] + 1):
-                out.append((i, a, j, b))
-    return out
+def _host_edge_list(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
+    """Every edge of the complete host, in canonical order."""
+    return [(VertexRef(i, a), VertexRef(j, b)) for i, j in PAIR_ORDER
+            for a in range(1, sizes[i - 1] + 1) for b in range(1, sizes[j - 1] + 1)]
 
 
 def _mask_to_graph(sizes: tuple[int, int, int], edges: list, mask: int) -> TripartiteGraph:
-    b = GraphBuilder(sizes)
-    for k, (i, a, j, bb) in enumerate(edges):
-        if (mask >> k) & 1:
-            b.add_edge(VertexRef(i, a), VertexRef(j, bb))
-    return b.build()
+    return TripartiteGraph.from_edges(sizes, [edges[k - 1] for k in iter_bits(mask)])
 
 
 def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[int]:
@@ -124,13 +122,14 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     class_sizes, _, layouts = _layouts(pat, tuple(sizes))
     masks: set[int] = set()
     for spans, full, _ in layouts:
-        members = [[_locate(span, b) for b in iter_bits(m)] for span, m in zip(spans, full)]
+        members = [[VertexRef(*_locate(span, b)) for b in iter_bits(m)]
+                   for span, m in zip(spans, full)]
         for sel in itertools.product(*(itertools.combinations(vs, k)
                                        for vs, k in zip(members, class_sizes))):
             mask = 0
             for s1, s2 in itertools.combinations(sel, 2):
-                for (i, a), (j, b) in itertools.product(s1, s2):
-                    mask |= 1 << idx[(i, a, j, b) if i < j else (j, b, i, a)]
+                for u, v in itertools.product(s1, s2):
+                    mask |= 1 << idx[(u, v) if u.part < v.part else (v, u)]
             masks.add(mask)
     return sorted(masks)
 
@@ -150,13 +149,13 @@ class _BranchEngine:
     saturated subgraphs.
     """
 
-    __slots__ = ("n_edges", "embeds", "emb_size", "by_edge", "enumerate_all",
+    __slots__ = ("n_edges", "emb_size", "by_edge", "enumerate_all",
                  "incl_cnt", "excl_cnt", "first_excl", "viable", "incl_mask",
                  "incl_total", "best", "witnesses", "nodes", "budget")
 
-    def __init__(self, n_edges: int, embeds: list[int], enumerate_all: bool):
+    def __init__(self, n_edges: int, embeds: list[int], enumerate_all: bool,
+                 budget: int | None):
         self.n_edges = n_edges
-        self.embeds = embeds
         self.emb_size = [m.bit_count() for m in embeds]
         self.by_edge = [[] for _ in range(n_edges)]
         for k, m in enumerate(embeds):
@@ -175,7 +174,7 @@ class _BranchEngine:
         self.best = n_edges + 1
         self.witnesses: list[int] = []
         self.nodes = 0
-        self.budget: int | None = None
+        self.budget = budget
 
     def can_include(self, e: int) -> bool:
         for emb in self.by_edge[e]:
@@ -261,18 +260,22 @@ class _BranchEngine:
         self.undo_exclude(idx)
 
 
-def _solve_subtree(args):
-    sizes, pat_sizes, prefix, enumerate_all = args
-    pat = PatternSpec(*pat_sizes)
-    embeds = pattern_edge_masks(sizes, pat)
-    n_edges = len(_host_edge_list(sizes))
-    eng = _BranchEngine(n_edges, embeds, enumerate_all)
+def _solve_subtree(n_edges: int, embeds: list[int], prefix: tuple[bool, ...],
+                   enumerate_all: bool, budget: int | None):
+    """Search the subtree below a prefix of decisions (True = include).
+
+    Returns (value, masks, nodes, status); value is None when the subtree
+    holds no saturated subgraph within the budget.
+    """
+    eng = _BranchEngine(n_edges, embeds, enumerate_all, budget)
     if not eng.apply_prefix(prefix):
-        return (None, [], 0)
-    eng.dfs(len(prefix))
-    if not eng.witnesses:
-        return (None, [], eng.nodes)
-    return (eng.best, eng.witnesses, eng.nodes)
+        return (None, [], 0, "complete")
+    status = "complete"
+    try:
+        eng.dfs(len(prefix))
+    except _BudgetExhausted:
+        status = "budget_exhausted"
+    return (eng.best if eng.witnesses else None, eng.witnesses, eng.nodes, status)
 
 
 def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
@@ -290,52 +293,30 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
             f"host has {n_edges} edges, too deep for the recursion limit "
             f"{sys.getrecursionlimit()}")
     nworkers = resolve_workers(workers)
-    method = "exact"
-    embeds = pattern_edge_masks(sizes, pat)
-
+    solve = partial(_solve_subtree, n_edges, pattern_edge_masks(sizes, pat),
+                    enumerate_all=enumerate_all, budget=node_budget)
     if nworkers <= 1 or node_budget is not None or n_edges < 4:
-        # single tree; an exact node budget is only meaningful sequentially
-        eng = _BranchEngine(n_edges, embeds, enumerate_all)
-        eng.budget = node_budget
-        status = "complete"
-        try:
-            eng.dfs(0)
-        except _BudgetExhausted:
-            status = "budget_exhausted"
-        value = eng.best if eng.witnesses else None
-        masks = eng.witnesses
-        nodes = eng.nodes
+        # one tree, the empty prefix; a node budget is only exact when one search spends it
+        parts = [solve(())]
     else:
         depth = 1
         while (1 << depth) < 2 * nworkers and depth < min(n_edges, 8):
             depth += 1
-        prefixes = list(itertools.product((True, False), repeat=depth))
-        args = [(sizes, pat.sizes, pf, enumerate_all) for pf in prefixes]
         with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            parts = list(pool.map(_solve_subtree, args))
-        status = "complete"
-        nodes = sum(p[2] for p in parts)
-        found = [p for p in parts if p[0] is not None]
-        if not found:
-            value, masks = None, []
-        else:
-            value = min(p[0] for p in found)
-            if enumerate_all:
-                masks = [m for p in parts if p[0] == value for m in p[1]]
-            else:
-                masks = next(p[1] for p in parts if p[0] == value)
+            parts = list(pool.map(solve, itertools.product((True, False), repeat=depth)))
 
-    witnesses = [_mask_to_graph(sizes, edges, m) for m in masks]
-    if enumerate_all:
-        kept: list[TripartiteGraph] = []
-        for g in witnesses:
-            if not any(iso_equivalent(g, h) for h in kept):
-                kept.append(g)
-        witnesses = kept
-    elif witnesses:
-        witnesses = witnesses[:1]
-    return SearchResult(value=value, witnesses=witnesses, nodes_explored=nodes,
-                        method=method, status=status)
+    value = min((p[0] for p in parts if p[0] is not None), default=None)
+    masks = [m for p in parts if p[0] == value for m in p[1]]
+    if not enumerate_all:
+        masks = masks[:1]
+    # one witness per part-respecting isomorphism class
+    witnesses: list[TripartiteGraph] = []
+    for g in (_mask_to_graph(sizes, edges, m) for m in masks):
+        if not any(iso_equivalent(g, h) for h in witnesses):
+            witnesses.append(g)
+    status = "budget_exhausted" if any(p[3] == "budget_exhausted" for p in parts) else "complete"
+    return SearchResult(value=value, witnesses=witnesses, nodes_explored=sum(p[2] for p in parts),
+                        method="exact", status=status)
 
 
 def sat_exact(host_sizes, pat: PatternSpec, node_budget: int | None = None, *,
@@ -412,19 +393,18 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     if trials < 1:
         raise SearchError(f"need trials >= 1, got {trials}")
     edges = _host_edge_list(sizes)
-    refs = [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, b in edges]
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None
     trial_values: list[int] = []
     scanned = 0
     for k in range(trials):
         rng = XorShift64Star.for_trial(seed, k)
-        order = list(range(len(refs)))
+        order = list(range(len(edges)))
         rng.shuffle(order)
         b = GraphBuilder(sizes)
         for e in order:
             scanned += 1
-            u, v = refs[e]
+            u, v = edges[e]
             if contains_after(b, pat, u, v) is None:
                 b.add_edge(u, v)
         g = b.build()

@@ -147,14 +147,6 @@ def test_contains_after_errors():
         contains_after(empty, PatternSpec(1, 1, 1), VertexRef(1, 1), VertexRef(1, 2))  # same part
 
 
-def test_contains_after_check_free_contract():
-    host = new_host(2, 2, 2)
-    g = host.without_edge(VertexRef(1, 1), VertexRef(2, 1))
-    with pytest.raises(ContainmentError):
-        contains_after(g, PatternSpec(1, 1, 1), VertexRef(1, 1), VertexRef(2, 1),
-                       check_free=True)
-
-
 def test_contains_after_equals_naive_recheck():
     # 200 random pattern-free instances; existence must match the naive
     # oracle evaluated on the graph with the edge actually added

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_constructions_tour.py", "02_verify_and_diagnose.py",
-                                  "03_bounds_tables.py"])
+                                  "03_bounds_tables.py", "04_exact_search_small_hosts.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),

@@ -108,6 +108,30 @@ def test_exact_deterministic_across_worker_counts():
     assert r1.witnesses[0] == r2.witnesses[0]
 
 
+@pytest.mark.parametrize("fn, host, ps, nodes_seq, nodes_split", [
+    (sat_exact, (2, 2, 2), (1, 1, 1), 518, 549),
+    (sat_exact, (2, 2, 2), (2, 2, 0), 541, 649),
+    (sat_exact, (3, 2, 2), (1, 1, 1), 4052, 4349),
+    (sat_exact, (3, 2, 2), (2, 2, 0), 3198, 3908),
+    (enumerate_optima, (2, 2, 2), (1, 1, 1), 581, 592),
+    (enumerate_optima, (2, 2, 2), (2, 2, 0), 755, 783),
+    (enumerate_optima, (3, 2, 2), (1, 1, 1), 4924, 5062),
+    (enumerate_optima, (3, 2, 2), (2, 2, 0), 4808, 5207),
+])
+def test_node_counts_pinned(fn, host, ps, nodes_seq, nodes_split):
+    # node counts do not depend on the machine, only on the search and on
+    # the split: one subtree at workers=1, four fixed subtrees at workers=2
+    for workers, nodes in ((1, nodes_seq), (2, nodes_split)):
+        r = fn(host, PatternSpec(*ps), workers=workers)
+        assert (r.nodes_explored, r.status) == (nodes, "complete")
+
+
+def test_node_budget_searches_one_tree():
+    # a budget is spent by one search even when workers are available
+    r = sat_exact((3, 2, 2), PatternSpec(1, 1, 1), node_budget=50, workers=2)
+    assert (r.nodes_explored, r.status, r.value) == (51, "budget_exhausted", 12)
+
+
 def test_budget_exhaustion_is_inconclusive():
     r = sat_exact((2, 2, 2), PatternSpec(1, 1, 1), node_budget=10)
     assert r.status == "budget_exhausted"
