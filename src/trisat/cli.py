@@ -14,21 +14,15 @@ import json
 import sys
 
 from . import constructions
-from .containment import ContainmentError
 from .formulas import FormulaError, evaluate
-from .graphs import GraphError
-from .patterns import PatternError, PatternSpec
-from .search import SearchError, enumerate_optima, sat_exact, sat_exhaustive, sat_greedy
-from .serialization import FormatError, deserialize, serialize
-from .verifier import VerifierError, is_saturated
-
-_USER_ERRORS = (GraphError, PatternError, ContainmentError, FormatError,
-                FormulaError, SearchError, VerifierError,
-                constructions.ConstructionError, OSError, ValueError)
+from .patterns import PatternSpec
+from .search import enumerate_optima, sat_exact, sat_exhaustive, sat_greedy
+from .serialization import deserialize, serialize
+from .verifier import is_saturated
 
 
 class _CliError(Exception):
-    pass
+    """A malformed command-line argument."""
 
 
 def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
@@ -127,16 +121,13 @@ def _cmd_formula(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from .experiments import ExperimentError, run_table
+    from .experiments import run_table
     try:
         with open(args.spec, "r", encoding="ascii") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise _CliError(f"spec {args.spec}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    try:
-        text = run_table(obj)
-    except ExperimentError as exc:
-        raise _CliError(str(exc)) from None
+    text = run_table(obj)
     with open(args.out, "w", encoding="ascii", newline="") as fh:
         fh.write(text)
     print(f"wrote {args.out} ({text.count(chr(10)) - 1} rows)", file=sys.stderr)
@@ -198,11 +189,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # every trisat error is a ValueError, every failed file access an OSError
     try:
         return args.fn(args)
-    except _CliError as exc:
-        return _emit_error(str(exc))
-    except _USER_ERRORS as exc:
+    except (_CliError, ValueError, OSError) as exc:
         return _emit_error(str(exc))
 
 

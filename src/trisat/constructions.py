@@ -279,6 +279,10 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     After building, :func:`residual_structure_check` re-checks the residual
     triple for triangle-freeness and exact degrees; a failure signals an
     invalid parameter regime rather than returning a silently wrong graph.
+    That check still refuses some hosts at ``n = con4_threshold(l, m)``:
+    those where l - m is odd and at least 3 and the residual size
+    n - m - t is odd, e.g. (l, m, n) = (4, 1, 9), since no triangle-free
+    residual triple with every degree l - m exists there.
     """
     if not (l >= m >= 1):
         raise ConstructionError(f"need l >= m >= 1, got l={l}, m={m}")
@@ -320,6 +324,10 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     Hubs S_i of size m-1, triangles T_i of size t = floor((l-m)/2) completely
     joined to each other, and an (l-m)-regular bipartite circulant between
     the residual ranges of every part pair.
+
+    The shape checks already refuse every n below ``con5_threshold(l, m)``,
+    so unlike the other families ``force=True`` cannot build below the
+    threshold.
     """
     if not (l >= m > p >= 1):
         raise ConstructionError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
@@ -446,5 +454,10 @@ def build(which: str, n1: int, n2: int, n3: int, l: int | None = None,
 
 def smallest_guaranteed_n(which: str, l: int | None = None, m: int | None = None,
                           p: int | None = None) -> int:
-    """Smallest balanced host size for which saturation is guaranteed."""
+    """Smallest balanced host size for which saturation is guaranteed.
+
+    Construction 4 still refuses some hosts at this size: when l - m is odd
+    and at least 3 and the residual size is odd, e.g. (l, m, n) = (4, 1, 9);
+    see :func:`construction4`.
+    """
     return _family(which).threshold(l, m)

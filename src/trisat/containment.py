@@ -56,14 +56,7 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
             raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
     if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    # g + uv differs from g in the two rows that uv touches; copy just those
-    rows = {(x.part, x.index, y.part): g.neighbors_mask(x.part, x.index, y.part)
-            | 1 << (y.index - 1) for x, y in ((u, v), (v, u))}
-
-    def nbr_after(i: int, a: int, j: int) -> int:
-        return rows.get((i, a, j)) or g.neighbors_mask(i, a, j)
-
-    return _search(g, pat, ((u.part, u.index), (v.part, v.index)), nbr_after)
+    return _search(g, pat, ((u.part, u.index), (v.part, v.index)))
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -166,10 +159,14 @@ def _row(nbr, i: int, a: int, span) -> int:
     return row
 
 
-def _search(g, pat: PatternSpec, required=(), nbr_req=None) -> Optional[Embedding]:
+def _search(g, pat: PatternSpec, required=()) -> Optional[Embedding]:
     """First embedding over all layouts that uses every (part, index) in
-    ``required``, whose rows are read through ``nbr_req``.  Picked members
-    are never required vertices, so their rows are read from g."""
+    ``required``, in g plus the edges joining the required vertices.
+
+    Each required vertex narrows the other classes to its neighbours in g;
+    the one edge g lacks, between the two required vertices, is put back by
+    adding the required bits to the narrowed masks.  Picked members are
+    never required vertices, so every other row is read from g as is."""
     nbr = g.neighbors_mask
     sizes, order, layouts = _layouts(pat, g.part_sizes)
     for spans, full, where in layouts:
@@ -181,10 +178,9 @@ def _search(g, pat: PatternSpec, required=(), nbr_req=None) -> Optional[Embeddin
             req[c] = 1 << (off + a - 1)
             for c2, span in enumerate(spans):
                 if c2 != c:
-                    cand[c2] &= _row(nbr_req, i, a, span)
+                    cand[c2] &= _row(nbr, i, a, span)
         else:
-            if any(r & ~m for r, m in zip(req, cand)):
-                continue
+            cand = [m | r for m, r in zip(cand, req)]
             chosen = _fill(nbr, spans, sizes, order, cand, req)
             if chosen is not None:
                 return Embedding(tuple(

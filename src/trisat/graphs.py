@@ -61,14 +61,47 @@ def _check_sizes(part_sizes: tuple[int, int, int]) -> tuple[int, int, int]:
     return sizes  # type: ignore[return-value]
 
 
-class TripartiteGraph:
+class _GraphReader:
+    """Read-only surface shared by :class:`TripartiteGraph` and
+    :class:`GraphBuilder`, so read-only algorithms run against either."""
+
+    __slots__ = ("part_sizes", "_rows", "_num_edges")
+
+    @property
+    def num_edges(self) -> int:
+        return self._num_edges
+
+    def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
+        """Bitmask of the neighbours of v_part^index inside other_part."""
+        return self._rows[(part, other_part)][index - 1]
+
+    def check_vertex(self, v: VertexRef) -> None:
+        if v.index > self.part_sizes[v.part - 1]:
+            raise GraphError(f"{v} out of range for part sizes {self.part_sizes}")
+
+    def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
+        self.check_vertex(u)
+        self.check_vertex(v)
+        return u.part != v.part and bool((self._rows[(u.part, v.part)][u.index - 1]
+                                          >> (v.index - 1)) & 1)
+
+    def degree(self, v: VertexRef) -> int:
+        self.check_vertex(v)
+        return sum(_split_counts(self, v.part, v.index).values())
+
+    def edges(self) -> list[tuple[VertexRef, VertexRef]]:
+        """All edges in canonical order."""
+        return _walk_rows(self.part_sizes, self.neighbors_mask)
+
+
+class TripartiteGraph(_GraphReader):
     """Immutable tripartite graph.
 
     Construct through :class:`GraphBuilder`, :func:`new_host` or
     :meth:`from_edges`; the constructor is an internal detail.
     """
 
-    __slots__ = ("part_sizes", "_rows", "_num_edges")
+    __slots__ = ()
 
     def __init__(self, part_sizes: tuple[int, int, int],
                  rows: dict[tuple[int, int], tuple[int, ...]], num_edges: int):
@@ -84,44 +117,8 @@ class TripartiteGraph:
             b.add_edge(u, v)
         return b.build()
 
-    # -- queries ------------------------------------------------------------
-
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
     def part_mask(self, part: int) -> int:
         return (1 << self.part_sizes[part - 1]) - 1
-
-    def check_vertex(self, v: VertexRef) -> None:
-        if v.index > self.part_sizes[v.part - 1]:
-            raise GraphError(f"{v} out of range for part sizes {self.part_sizes}")
-
-    def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
-        """Bitmask of the neighbours of v_part^index inside other_part."""
-        return self._rows[(part, other_part)][index - 1]
-
-    def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
-        self.check_vertex(u)
-        self.check_vertex(v)
-        if u.part == v.part:
-            return False
-        return bool((self._rows[(u.part, v.part)][u.index - 1] >> (v.index - 1)) & 1)
-
-    def degree(self, v: VertexRef) -> int:
-        self.check_vertex(v)
-        return sum(self._rows[(v.part, j)][v.index - 1].bit_count()
-                   for j in PARTS if j != v.part)
-
-    def edges(self) -> list[tuple[VertexRef, VertexRef]]:
-        """All edges in canonical order."""
-        out = []
-        for i, j in PAIR_ORDER:
-            rows = self._rows[(i, j)]
-            for a in range(1, self.part_sizes[i - 1] + 1):
-                for b in iter_bits(rows[a - 1]):
-                    out.append((VertexRef(i, a), VertexRef(j, b)))
-        return out
 
     def vertices(self) -> list[VertexRef]:
         return [VertexRef(i, a) for i in PARTS
@@ -156,14 +153,10 @@ class TripartiteGraph:
         return f"TripartiteGraph(parts={self.part_sizes}, edges={self._num_edges})"
 
 
-class GraphBuilder:
-    """Mutable edge-set stage for assembling a TripartiteGraph.
+class GraphBuilder(_GraphReader):
+    """Mutable edge-set stage for assembling a TripartiteGraph."""
 
-    Exposes the same ``part_sizes`` / ``neighbors_mask`` surface as the
-    immutable graph so read-only algorithms can run against a builder.
-    """
-
-    __slots__ = ("part_sizes", "_rows", "_num_edges")
+    __slots__ = ()
 
     def __init__(self, part_sizes: tuple[int, int, int]):
         self.part_sizes = _check_sizes(part_sizes)
@@ -178,36 +171,21 @@ class GraphBuilder:
         b._num_edges = g.num_edges
         return b
 
-    @property
-    def num_edges(self) -> int:
-        return self._num_edges
-
-    def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
-        return self._rows[(part, other_part)][index - 1]
-
-    def _check_pair(self, u: VertexRef, v: VertexRef) -> None:
+    def _check_pair(self, u: VertexRef, v: VertexRef) -> bool:
+        """Whether uv is an edge; raises unless u and v could be joined."""
         if u.part == v.part:
             raise GraphError(f"{u} and {v} lie in the same part")
-        for x in (u, v):
-            if x.index > self.part_sizes[x.part - 1]:
-                raise GraphError(f"{x} out of range for part sizes {self.part_sizes}")
-
-    def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
-        if u.part == v.part:
-            return False
-        return bool((self._rows[(u.part, v.part)][u.index - 1] >> (v.index - 1)) & 1)
+        return self.has_edge(u, v)
 
     def add_edge(self, u: VertexRef, v: VertexRef) -> None:
-        self._check_pair(u, v)
-        if self.has_edge(u, v):
+        if self._check_pair(u, v):
             raise GraphError(f"edge {u}{v} already present")
         self._rows[(u.part, v.part)][u.index - 1] |= 1 << (v.index - 1)
         self._rows[(v.part, u.part)][v.index - 1] |= 1 << (u.index - 1)
         self._num_edges += 1
 
     def remove_edge(self, u: VertexRef, v: VertexRef) -> None:
-        self._check_pair(u, v)
-        if not self.has_edge(u, v):
+        if not self._check_pair(u, v):
             raise GraphError(f"edge {u}{v} not present")
         self._rows[(u.part, v.part)][u.index - 1] &= ~(1 << (v.index - 1))
         self._rows[(v.part, u.part)][v.index - 1] &= ~(1 << (u.index - 1))
@@ -221,17 +199,35 @@ class GraphBuilder:
 
 # -- module-level operations --------------------------------------------------
 
+def _walk_rows(sizes: tuple[int, int, int], row_bits) -> list[tuple[VertexRef, VertexRef]]:
+    """The pairs (v_i^a, v_j^b) in canonical order, b running over the set
+    bits of ``row_bits(i, a, j)``: the one walk behind every edge list."""
+    return [(VertexRef(i, a), VertexRef(j, b)) for i, j in PAIR_ORDER
+            for a in range(1, sizes[i - 1] + 1) for b in iter_bits(row_bits(i, a, j))]
+
+
+def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
+    """Every edge of the complete host on these part sizes, in canonical order."""
+    sizes = _check_sizes(sizes)
+    return _walk_rows(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1)
+
+
 def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     """The complete tripartite host on parts of sizes n1 >= n2 >= n3 >= 1."""
     if n1 < n2 or n2 < n3:
         raise GraphError(f"host part sizes must satisfy n1 >= n2 >= n3, got ({n1},{n2},{n3})")
-    sizes = _check_sizes((n1, n2, n3))
-    b = GraphBuilder(sizes)
-    for i, j in PAIR_ORDER:
-        for a in range(1, sizes[i - 1] + 1):
-            for c in range(1, sizes[j - 1] + 1):
-                b.add_edge(VertexRef(i, a), VertexRef(j, c))
-    return b.build()
+    return TripartiteGraph.from_edges((n1, n2, n3), host_edges((n1, n2, n3)))
+
+
+def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
+    """Nonedges of g relative to the complete host on its own part sizes."""
+    return _walk_rows(g.part_sizes,
+                      lambda i, a, j: g.part_mask(j) & ~g.neighbors_mask(i, a, j))
+
+
+def _split_counts(g: _GraphReader, i: int, a: int) -> dict[int, int]:
+    """Neighbour counts of v_i^a per other part, in ascending part order."""
+    return {j: g.neighbors_mask(i, a, j).bit_count() for j in PARTS if j != i}
 
 
 @dataclass(frozen=True)
@@ -246,30 +242,11 @@ class DegreeProfile:
 
 
 def degree_profile(g: TripartiteGraph) -> DegreeProfile:
-    split: dict[VertexRef, dict[int, int]] = {}
-    mins = []
-    for i in PARTS:
-        others = [j for j in PARTS if j != i]
-        part_min = None
-        for a in range(1, g.part_sizes[i - 1] + 1):
-            counts = {j: g.neighbors_mask(i, a, j).bit_count() for j in others}
-            split[VertexRef(i, a)] = counts
-            d = sum(counts.values())
-            part_min = d if part_min is None else min(part_min, d)
-        mins.append(part_min if part_min is not None else 0)
-    return DegreeProfile(delta=tuple(mins), split=split)
-
-
-def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
-    """Nonedges of g relative to the complete host on its own part sizes."""
-    out = []
-    for i, j in PAIR_ORDER:
-        full = g.part_mask(j)
-        for a in range(1, g.part_sizes[i - 1] + 1):
-            missing = full & ~g.neighbors_mask(i, a, j)
-            for b in iter_bits(missing):
-                out.append((VertexRef(i, a), VertexRef(j, b)))
-    return out
+    split = {VertexRef(i, a): _split_counts(g, i, a)
+             for i in PARTS for a in range(1, g.part_sizes[i - 1] + 1)}
+    delta = tuple(min(sum(c.values()) for v, c in split.items() if v.part == i)
+                  for i in PARTS)
+    return DegreeProfile(delta=delta, split=split)
 
 
 def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
@@ -284,39 +261,35 @@ def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
         return False
     if g.num_edges != h.num_edges:
         return False
+    sig_g = {i: [tuple(_split_counts(g, i, a).values())
+                 for a in range(1, g.part_sizes[i - 1] + 1)] for i in PARTS}
+    split_h = {i: [_split_counts(h, i, x) for x in range(1, h.part_sizes[i - 1] + 1)]
+               for i in PARTS}
 
     for perm in itertools.permutations(PARTS):
         part_map = {i: perm[i - 1] for i in PARTS}
         if any(g.part_sizes[i - 1] != h.part_sizes[part_map[i] - 1] for i in PARTS):
             continue
-        # split-degree signatures, keyed by g's part labelling on both
-        # sides so they are comparable under part_map; the multisets must
-        # agree per part before any backtracking is attempted
-        feasible = True
+        # h's split-degree signatures, read in g's part labelling so they are
+        # comparable under part_map; the multisets must agree per part
+        # before any backtracking is attempted
         sigs_h: dict[int, dict[tuple, list[int]]] = {}
         for i in PARTS:
-            gi = sorted(tuple(g.neighbors_mask(i, a, j).bit_count()
-                              for j in PARTS if j != i)
-                        for a in range(1, g.part_sizes[i - 1] + 1))
-            by_sig: dict[tuple, list[int]] = {}
-            hi = []
-            for x in range(1, h.part_sizes[part_map[i] - 1] + 1):
-                s = tuple(h.neighbors_mask(part_map[i], x, part_map[j]).bit_count()
-                          for j in PARTS if j != i)
-                hi.append(s)
-                by_sig.setdefault(s, []).append(x)
-            if gi != sorted(hi):
-                feasible = False
+            hi = [tuple(counts[part_map[j]] for j in PARTS if j != i)
+                  for counts in split_h[part_map[i]]]
+            if sorted(hi) != sorted(sig_g[i]):
                 break
-            sigs_h[i] = by_sig
-        if not feasible:
-            continue
-        if _iso_backtrack(g, h, part_map, sigs_h):
-            return True
+            sigs_h[i] = by_sig = {}
+            for x, sig in enumerate(hi, 1):
+                by_sig.setdefault(sig, []).append(x)
+        else:
+            if _iso_backtrack(g, h, part_map, sig_g, sigs_h):
+                return True
     return False
 
 
 def _iso_backtrack(g: TripartiteGraph, h: TripartiteGraph, part_map: dict[int, int],
+                   sig_g: dict[int, list[tuple]],
                    sigs_h: dict[int, dict[tuple, list[int]]]) -> bool:
     order = [(i, a) for i in PARTS for a in range(1, g.part_sizes[i - 1] + 1)]
     mapping: dict[tuple[int, int], int] = {}
@@ -337,8 +310,7 @@ def _iso_backtrack(g: TripartiteGraph, h: TripartiteGraph, part_map: dict[int, i
         if k == len(order):
             return True
         i, a = order[k]
-        sig = tuple(g.neighbors_mask(i, a, j).bit_count() for j in PARTS if j != i)
-        for x in sigs_h[i].get(sig, ()):
+        for x in sigs_h[i].get(sig_g[i][a - 1], ()):
             if x in used[i]:
                 continue
             if ok(i, a, x):

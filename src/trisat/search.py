@@ -38,7 +38,8 @@ from functools import partial
 import numpy as np
 
 from .containment import _layouts, _locate, contains_after
-from .graphs import PAIR_ORDER, GraphBuilder, TripartiteGraph, VertexRef, iso_equivalent, iter_bits
+from .graphs import (GraphBuilder, TripartiteGraph, VertexRef, host_edges, iso_equivalent,
+                     iter_bits)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -104,12 +105,6 @@ def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
     return sizes
 
 
-def _host_edge_list(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
-    """Every edge of the complete host, in canonical order."""
-    return [(VertexRef(i, a), VertexRef(j, b)) for i, j in PAIR_ORDER
-            for a in range(1, sizes[i - 1] + 1) for b in range(1, sizes[j - 1] + 1)]
-
-
 def _mask_to_graph(sizes: tuple[int, int, int], edges: list, mask: int) -> TripartiteGraph:
     return TripartiteGraph.from_edges(sizes, [edges[k - 1] for k in iter_bits(mask)])
 
@@ -118,7 +113,7 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     """Edge bitmasks (over the canonical host edge list) of every embedding
     of the pattern in the complete host, deduplicated and sorted.  The
     class-to-part layouts are the ones the containment search explores."""
-    idx = {e: k for k, e in enumerate(_host_edge_list(sizes))}
+    idx = {e: k for k, e in enumerate(host_edges(sizes))}
     class_sizes, _, layouts = _layouts(pat, tuple(sizes))
     masks: set[int] = set()
     for spans, full, _ in layouts:
@@ -281,7 +276,7 @@ def _solve_subtree(n_edges: int, embeds: list[int], prefix: tuple[bool, ...],
 def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
                enumerate_all: bool, node_budget: int | None,
                workers: int | None, max_host_edges: int | None) -> SearchResult:
-    edges = _host_edge_list(sizes)
+    edges = host_edges(sizes)
     n_edges = len(edges)
     if max_host_edges is not None and n_edges > max_host_edges:
         raise SearchError(
@@ -348,7 +343,7 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
     Guarded to hosts with at most 16 edges.
     """
     sizes = _check_host_sizes(host_sizes)
-    edges = _host_edge_list(sizes)
+    edges = host_edges(sizes)
     n_edges = len(edges)
     if n_edges > 16:
         raise SearchError(f"sat_exhaustive guard: host has {n_edges} > 16 edges")
@@ -392,7 +387,7 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     sizes = _check_host_sizes(host_sizes)
     if trials < 1:
         raise SearchError(f"need trials >= 1, got {trials}")
-    edges = _host_edge_list(sizes)
+    edges = host_edges(sizes)
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None
     trial_values: list[int] = []

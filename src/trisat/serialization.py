@@ -56,31 +56,30 @@ def deserialize(data: bytes) -> TripartiteGraph:
     raise FormatError("unrecognized format: expected a JSON object or a 'tripartite' header")
 
 
-def graph_from_json_obj(obj: object, where: str = "") -> TripartiteGraph:
-    tag = where or "input"
+def graph_from_json_obj(obj: object) -> TripartiteGraph:
     if not isinstance(obj, dict):
-        raise FormatError(f"{tag}: expected a JSON object")
+        raise FormatError("input: expected a JSON object")
     unknown = set(obj) - {"parts", "edges"}
     if unknown:
-        raise FormatError(f"{tag}: unknown keys {sorted(unknown)}")
+        raise FormatError(f"input: unknown keys {sorted(unknown)}")
     parts = obj.get("parts")
     # type(x) is int, not isinstance: JSON true/false decode to bool, an int subclass
     if (not isinstance(parts, list) or len(parts) != 3
             or not all(type(n) is int and n >= 1 for n in parts)):
-        raise FormatError(f"{tag}: 'parts' must be three positive integers")
+        raise FormatError("input: 'parts' must be three positive integers")
     edges = obj.get("edges")
     if not isinstance(edges, list):
-        raise FormatError(f"{tag}: 'edges' must be a list")
+        raise FormatError("input: 'edges' must be a list")
     b = GraphBuilder(tuple(parts))
     for k, row in enumerate(edges):
         if not (isinstance(row, list) and len(row) == 4
                 and all(type(x) is int for x in row)):
-            raise FormatError(f"{tag}: edges[{k}] must be four integers [i, a, j, b]")
+            raise FormatError(f"input: edges[{k}] must be four integers [i, a, j, b]")
         i, a, j, bb = row
         try:
             b.add_edge(VertexRef(i, a), VertexRef(j, bb))
         except GraphError as exc:
-            raise FormatError(f"{tag}: edges[{k}]: {exc}") from None
+            raise FormatError(f"input: edges[{k}]: {exc}") from None
     return b.build()
 
 

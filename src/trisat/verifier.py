@@ -167,49 +167,30 @@ def residual_structure_check(g: TripartiteGraph,
     """Exact triangle search and degree table restricted to non-hub vertices.
 
     ``hubs`` lists, per part, the vertex indices excluded from the residual
-    set (the hub sets S_i and T_i of a construction).
+    set (the hub sets S_i and T_i of a construction).  The residual graph is
+    the subgraph induced on the other vertices, which keep their indices;
+    its triangle is the containment search's first K(1,1,1), which is the
+    lexicographically first one.
     """
     if len(hubs) != 3:
         raise VerifierError("expected one hub index set per part")
-    res_masks = []
+    keep = []
     for i in PARTS:
-        n = g.part_sizes[i - 1]
+        n, mask = g.part_sizes[i - 1], g.part_mask(i)
         for a in hubs[i - 1]:
             if not 1 <= a <= n:
                 raise VerifierError(f"hub index {a} out of range for part {i} of size {n}")
-        mask = 0
-        for a in range(1, n + 1):
-            if a not in hubs[i - 1]:
-                mask |= 1 << (a - 1)
-        res_masks.append(mask)
+            mask &= ~(1 << (a - 1))
+        keep.append(mask)
 
-    degrees: dict[VertexRef, dict[int, int]] = {}
-    for i in PARTS:
-        for a in range(1, g.part_sizes[i - 1] + 1):
-            if not (res_masks[i - 1] >> (a - 1)) & 1:
-                continue
-            degrees[VertexRef(i, a)] = {
-                j: (g.neighbors_mask(i, a, j) & res_masks[j - 1]).bit_count()
-                for j in PARTS if j != i}
+    def kept(v: VertexRef) -> int:
+        return (keep[v.part - 1] >> (v.index - 1)) & 1
 
-    triangle = None
-    for a in range(1, g.part_sizes[0] + 1):
-        if not (res_masks[0] >> (a - 1)) & 1:
-            continue
-        m2 = g.neighbors_mask(1, a, 2) & res_masks[1]
-        m3 = g.neighbors_mask(1, a, 3) & res_masks[2]
-        if not (m2 and m3):
-            continue
-        b = m2
-        while b and triangle is None:
-            low = b & -b
-            bi = low.bit_length()
-            b ^= low
-            common = g.neighbors_mask(2, bi, 3) & m3
-            if common:
-                ci = (common & -common).bit_length()
-                triangle = (VertexRef(1, a), VertexRef(2, bi), VertexRef(3, ci))
-        if triangle is not None:
-            break
+    residual = TripartiteGraph.from_edges(
+        g.part_sizes, [(u, v) for u, v in g.edges() if kept(u) and kept(v)])
+    triangle = contains(residual, PatternSpec(1, 1, 1))
+    if triangle is not None:
+        triangle = tuple(v for cl in triangle.classes for v in cl)
+    degrees = {v: counts for v, counts in degree_profile(residual).split.items() if kept(v)}
     return ResidualReport(triangle_free=triangle is None, triangle=triangle,
                           degrees=degrees)

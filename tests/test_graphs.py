@@ -6,6 +6,7 @@ import pytest
 
 from trisat import (GraphBuilder, GraphError, VertexRef, construction1,
                     construction_c4, degree_profile, host_nonedges, new_host)
+from trisat.graphs import host_edges
 from conftest import PAIRS, edge_tuples, random_graph, random_sizes
 
 
@@ -120,6 +121,9 @@ def test_canonical_edge_order():
     # pair (1,2) before (1,3) before (2,3)
     pair_seq = [(r[0], r[2]) for r in rows]
     assert pair_seq == sorted(pair_seq, key=PAIRS.index)
+    # the host edge list walks the same order
+    for s in [(2, 2, 1), (3, 2, 2), (4, 3, 1)]:
+        assert host_edges(s) == new_host(*s).edges()
 
 
 def test_builder_publish_is_snapshot():

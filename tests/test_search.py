@@ -7,7 +7,8 @@ import pytest
 from trisat import (PatternSpec, SearchError, construction_c4, enumerate_optima,
                     f_con1_upper, is_saturated, iso_equivalent, new_host,
                     sat_exact, sat_exhaustive, sat_greedy)
-from trisat.search import pattern_edge_masks, _host_edge_list, _mask_to_graph
+from trisat.graphs import host_edges
+from trisat.search import pattern_edge_masks, _mask_to_graph
 from trisat.containment import contains
 
 
@@ -55,7 +56,7 @@ def test_minimality_certificate():
     # no subgraph with value-1 edges is saturated (direct rescan)
     host_sizes, pat = (2, 2, 1), PatternSpec(1, 1, 1)
     r = sat_exhaustive(host_sizes, pat)
-    edges = _host_edge_list(host_sizes)
+    edges = host_edges(host_sizes)
     for mask in range(1 << len(edges)):
         if bin(mask).count("1") == r.value - 1:
             g = _mask_to_graph(host_sizes, edges, mask)
@@ -68,7 +69,7 @@ def test_pattern_edge_masks_agree_with_containment():
     for host_sizes, ps in [((2, 2, 2), (1, 1, 1)), ((3, 2, 2), (2, 2, 0)),
                            ((2, 2, 2), (2, 2, 1))]:
         pat = PatternSpec(*ps)
-        edges = _host_edge_list(host_sizes)
+        edges = host_edges(host_sizes)
         embeds = pattern_edge_masks(host_sizes, pat)
         for _ in range(60):
             mask = rnd.getrandbits(len(edges))

@@ -142,3 +142,23 @@ def test_residual_structure_check_complete_host():
 def test_residual_structure_check_bad_range():
     with pytest.raises(VerifierError):
         residual_structure_check(new_host(2, 2, 2), [{5}, set(), set()])
+
+
+def test_residual_structure_check_matches_brute_force():
+    # an independent triple loop over the residual vertices: the first
+    # triangle in (a, b, c) order and every masked degree
+    rnd = random.Random(21)
+    for _ in range(150):
+        g = random_graph(rnd, random_sizes(rnd, 5), density=rnd.choice((0.3, 0.6, 0.9)))
+        hubs = [{a for a in range(1, n + 1) if rnd.random() < 0.3} for n in g.part_sizes]
+        res = [[VertexRef(i, a) for a in range(1, g.part_sizes[i - 1] + 1)
+                if a not in hubs[i - 1]] for i in (1, 2, 3)]
+        first = next(((x, y, z) for x in res[0] for y in res[1] for z in res[2]
+                      if g.has_edge(x, y) and g.has_edge(x, z) and g.has_edge(y, z)), None)
+        degrees = {v: {j: sum(g.has_edge(v, w) for w in res[j - 1])
+                       for j in (1, 2, 3) if j != v.part}
+                   for part in res for v in part}
+        rep = residual_structure_check(g, hubs)
+        assert rep.triangle == first
+        assert rep.triangle_free == (first is None)
+        assert rep.degrees == degrees
