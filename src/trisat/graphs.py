@@ -120,6 +120,15 @@ class TripartiteGraph(_GraphReader):
     def part_mask(self, part: int) -> int:
         return (1 << self.part_sizes[part - 1]) - 1
 
+    def induced(self, keep: "list[int]") -> "TripartiteGraph":
+        """The subgraph induced on the vertices whose bits are set in
+        ``keep`` (one mask per part); vertices keep their indices."""
+        rows = {(i, j): tuple(r & keep[j - 1] if (keep[i - 1] >> a) & 1 else 0
+                              for a, r in enumerate(vals))
+                for (i, j), vals in self._rows.items()}
+        num_edges = sum(r.bit_count() for p in PAIR_ORDER for r in rows[p])
+        return TripartiteGraph(self.part_sizes, rows, num_edges)
+
     def vertices(self) -> list[VertexRef]:
         return [VertexRef(i, a) for i in PARTS
                 for a in range(1, self.part_sizes[i - 1] + 1)]

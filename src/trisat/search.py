@@ -8,6 +8,11 @@ three sound prunings: an included edge may never complete a copy of the
 pattern, the included count must stay below the incumbent, and every
 excluded edge must remain completable by the edges not yet excluded.
 Complete assignments that survive are exactly the saturated subgraphs.
+The search state is two bitsets over the pattern's embeddings in the host,
+``clean`` (no edge excluded) and ``once`` (exactly one edge excluded), so
+each pruning test is a few big-integer ANDs: an include is refused when a
+clean embedding ends at that edge, and an excluded edge stays completable
+while some embedding through it is in ``once``.
 
 :func:`sat_exhaustive` iterates all 2^|E(host)| subgraphs with vectorized
 mask tests and is the independent oracle for ``sat_exact``.
@@ -132,38 +137,39 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
 # -- branch-and-bound engine ----------------------------------------------------
 
 class _BranchEngine:
-    """DFS over host edges with incremental completion/viability counters.
+    """DFS over host edges on two bitsets over embedding indices.
 
-    For each embedding mask we track how many of its edges are included and
-    excluded.  Including an edge is illegal when some embedding would become
-    fully included (the graph must stay pattern-free).  For every excluded
-    edge f, ``viable[f]`` counts embeddings containing f whose other edges
-    are all still includable; when it hits zero, no completion of f can ever
-    exist and the branch dies.  At a full assignment every excluded edge is
-    therefore completable and the included set is pattern-free: exactly the
-    saturated subgraphs.
+    ``clean`` holds the embeddings with no excluded edge and ``once`` those
+    with exactly one.  Fixed per edge e: ``has[e]``, the embeddings through
+    e, and ``ends[e]``, those whose highest canonical edge is e.  Edges are
+    decided in canonical order, so when e is next the other edges of every
+    embedding in ``ends[e]`` are decided, and including e completes a copy
+    iff ``clean & ends[e]`` is nonzero; such an include is refused.  An
+    excluded edge f keeps a potential completion while ``once & has[f]`` is
+    nonzero (an embedding through f whose other edges are included or still
+    undecided); the branch dies when that set empties, which can only happen
+    to the f whose embeddings ``exclude`` moves out of ``once``, so
+    ``exclude`` scans ``excl_has`` (``has[f]`` of each excluded f) only
+    then.  At a full assignment every excluded edge is therefore completable
+    and the included set is pattern-free: exactly the saturated subgraphs.
     """
 
-    __slots__ = ("n_edges", "emb_size", "by_edge", "enumerate_all",
-                 "incl_cnt", "excl_cnt", "first_excl", "viable", "incl_mask",
-                 "incl_total", "best", "witnesses", "nodes", "budget")
+    __slots__ = ("n_edges", "has", "ends", "enumerate_all", "clean", "once",
+                 "excl_has", "incl_mask", "incl_total", "best", "witnesses", "nodes", "budget")
 
     def __init__(self, n_edges: int, embeds: list[int], enumerate_all: bool,
                  budget: int | None):
         self.n_edges = n_edges
-        self.emb_size = [m.bit_count() for m in embeds]
-        self.by_edge = [[] for _ in range(n_edges)]
+        self.has = [0] * n_edges
+        self.ends = [0] * n_edges
         for k, m in enumerate(embeds):
-            mm = m
-            while mm:
-                low = mm & -mm
-                self.by_edge[low.bit_length() - 1].append(k)
-                mm ^= low
+            for e in iter_bits(m):
+                self.has[e - 1] |= 1 << k
+            self.ends[m.bit_length() - 1] |= 1 << k
         self.enumerate_all = enumerate_all
-        self.incl_cnt = [0] * len(embeds)
-        self.excl_cnt = [0] * len(embeds)
-        self.first_excl = [0] * len(embeds)
-        self.viable = [0] * n_edges
+        self.clean = (1 << len(embeds)) - 1
+        self.once = 0
+        self.excl_has: list[int] = []
         self.incl_mask = 0
         self.incl_total = 0
         self.best = n_edges + 1
@@ -172,50 +178,31 @@ class _BranchEngine:
         self.budget = budget
 
     def can_include(self, e: int) -> bool:
-        for emb in self.by_edge[e]:
-            if self.incl_cnt[emb] == self.emb_size[emb] - 1 and self.excl_cnt[emb] == 0:
-                return False
-        return True
+        return not self.clean & self.ends[e]
 
     def include(self, e: int) -> None:
-        for emb in self.by_edge[e]:
-            self.incl_cnt[emb] += 1
         self.incl_mask |= 1 << e
         self.incl_total += 1
 
-    def undo_include(self, e: int) -> None:
-        for emb in self.by_edge[e]:
-            self.incl_cnt[emb] -= 1
-        self.incl_mask &= ~(1 << e)
-        self.incl_total -= 1
-
     def exclude(self, e: int) -> bool:
-        """Commit the exclusion; False when some excluded edge lost its last
-        potential completion (caller must still undo)."""
-        dead = False
-        for emb in self.by_edge[e]:
-            c = self.excl_cnt[emb] + 1
-            self.excl_cnt[emb] = c
-            if c == 1:
-                self.first_excl[emb] = e
-                self.viable[e] += 1
-            elif c == 2:
-                f = self.first_excl[emb]
-                self.viable[f] -= 1
-                if self.viable[f] == 0:
-                    dead = True
-        if self.viable[e] == 0:
-            dead = True
-        return not dead
-
-    def undo_exclude(self, e: int) -> None:
-        for emb in self.by_edge[e]:
-            c = self.excl_cnt[emb]
-            self.excl_cnt[emb] = c - 1
-            if c == 1:
-                self.viable[e] -= 1
-            elif c == 2:
-                self.viable[self.first_excl[emb]] += 1
+        """Exclude the next edge e and push ``has[e]`` onto ``excl_has``;
+        False, with nothing pushed, when e or an earlier excluded edge is
+        left with no potential completion.  The caller restores ``clean`` and
+        ``once`` either way."""
+        has = self.has[e]
+        fresh = self.clean & has
+        if not fresh:
+            return False
+        lost = self.once & has
+        self.once ^= lost | fresh
+        self.clean ^= fresh
+        if lost:
+            once = self.once
+            for hf in self.excl_has:
+                if hf & lost and not hf & once:
+                    return False
+        self.excl_has.append(has)
+        return True
 
     def apply_prefix(self, prefix: tuple[bool, ...]) -> bool:
         """Fix the first decisions (True = include); False if infeasible."""
@@ -249,10 +236,13 @@ class _BranchEngine:
         if self.can_include(idx):
             self.include(idx)
             self.dfs(idx + 1)
-            self.undo_include(idx)
+            self.incl_mask ^= 1 << idx
+            self.incl_total -= 1
+        clean, once = self.clean, self.once
         if self.exclude(idx):
             self.dfs(idx + 1)
-        self.undo_exclude(idx)
+            self.excl_has.pop()
+        self.clean, self.once = clean, once
 
 
 def _solve_subtree(n_edges: int, embeds: list[int], prefix: tuple[bool, ...],

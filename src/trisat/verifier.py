@@ -73,13 +73,13 @@ def is_saturated(g: TripartiteGraph, host_sizes: tuple[int, int, int],
     witness = contains(g, pat)
     free = witness is None
     violations: list[tuple[VertexRef, VertexRef]] = []
-    holes = host_nonedges(g)
     if not free:
         # every g + e contains the witness as well, so no nonedge violates
-        checked = len(holes)
+        n1, n2, n3 = g.part_sizes
+        checked = n1 * n2 + n1 * n3 + n2 * n3 - g.num_edges
     else:
         checked = 0
-        for u, v in holes:
+        for u, v in host_nonedges(g):
             checked += 1
             if contains_after(g, pat, u, v) is None:
                 violations.append((u, v))
@@ -182,15 +182,11 @@ def residual_structure_check(g: TripartiteGraph,
                 raise VerifierError(f"hub index {a} out of range for part {i} of size {n}")
             mask &= ~(1 << (a - 1))
         keep.append(mask)
-
-    def kept(v: VertexRef) -> int:
-        return (keep[v.part - 1] >> (v.index - 1)) & 1
-
-    residual = TripartiteGraph.from_edges(
-        g.part_sizes, [(u, v) for u, v in g.edges() if kept(u) and kept(v)])
+    residual = g.induced(keep)
     triangle = contains(residual, PatternSpec(1, 1, 1))
     if triangle is not None:
         triangle = tuple(v for cl in triangle.classes for v in cl)
-    degrees = {v: counts for v, counts in degree_profile(residual).split.items() if kept(v)}
+    degrees = {v: counts for v, counts in degree_profile(residual).split.items()
+               if (keep[v.part - 1] >> (v.index - 1)) & 1}
     return ResidualReport(triangle_free=triangle is None, triangle=triangle,
                           degrees=degrees)

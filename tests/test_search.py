@@ -245,3 +245,34 @@ def test_uniqueness_probe_triangle_on_3x3x3():
     assert len(r.witnesses) == 2  # observed optimum classes at this size
     for w in r.witnesses:
         assert is_saturated(w, (3, 3, 3), PatternSpec(1, 1, 1)).is_saturated
+
+
+# every host with at most 16 edges, the sat_exhaustive guard
+_SMALL_HOSTS = [(n, 1, 1) for n in range(1, 8)] + [
+    (2, 2, 1), (3, 2, 1), (4, 2, 1), (2, 2, 2), (3, 2, 2), (3, 3, 1)]
+
+
+def test_exact_matches_exhaustive_on_every_small_host():
+    # values, the sat_exact witness and the optima's isomorphism classes
+    # against the scan of all subgraphs, at both worker counts
+    for host in _SMALL_HOSTS:
+        for ps in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 0), (1, 1, 0)]:
+            pat = PatternSpec(*ps)
+            oracle = sat_exhaustive(host, pat)
+            winners = set(oracle.witnesses)
+            classes: list = []
+            for w in oracle.witnesses:
+                if not any(iso_equivalent(w, c) for c in classes):
+                    classes.append(w)
+            for workers in (1, 2):
+                case = (host, ps, workers)
+                r = sat_exact(host, pat, workers=workers)
+                assert (r.value, r.status) == (oracle.value, "complete"), case
+                assert r.witnesses[0] in winners, case
+                opt = enumerate_optima(host, pat, workers=workers)
+                assert (opt.value, opt.status) == (oracle.value, "complete"), case
+                assert all(w in winners for w in opt.witnesses), case
+                # each optimum names a distinct class, and every class is named
+                named = sorted(next((k for k, c in enumerate(classes) if iso_equivalent(w, c)),
+                                    -1) for w in opt.witnesses)
+                assert named == list(range(len(classes))), case
