@@ -22,6 +22,21 @@ candidates are one int mask over those parts' vertices laid end to end.
 Classes are filled in a fixed order and members picked from set bits in
 ascending order, each pick narrowing the masks of the classes still to
 fill, so a layout yields its lexicographically first embedding.
+
+Every search runs through one decision core, ``_decide``, which returns
+the chosen class masks of the first embedding, or None.  Only
+:func:`contains` and :func:`contains_after` turn the masks into an
+:class:`Embedding`, reading each vertex from the per-layout tables cached
+with the layouts.  The verifier asks one question per host nonedge of a
+pattern-free graph, whether adding it completes a copy, and
+``_uncompleted`` answers all of them in one sweep by endpoint: the
+canonical nonedge list comes in runs that share the first endpoint u and
+the part of v, and per run and layout the classes are narrowed by u's row
+once, then by each v's row, and filled.  Its rows come from a table built
+once per sweep, each vertex's rows onto every class of every layout.  The
+sweep and the per-call search share the fill recursion ``_fill``, so they
+answer every nonedge alike; the verifier still re-confirms each violation
+through :func:`contains_after`.
 """
 
 from __future__ import annotations
@@ -40,7 +55,7 @@ class ContainmentError(ValueError):
 
 def contains(g, pat: PatternSpec) -> Optional[Embedding]:
     """First embedding of pat in g under the fixed exploration order, or None."""
-    return _search(g, pat)
+    return _witness(_decide(g, pat))
 
 
 def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[Embedding]:
@@ -56,7 +71,7 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
             raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
     if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    return _search(g, pat, ((u.part, u.index), (v.part, v.index)))
+    return _witness(_decide(g, pat, ((u.part, u.index), (v.part, v.index))))
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -117,7 +132,8 @@ def _assignments(sizes: tuple[int, int, int]) -> list[tuple[int, int, int]]:
 def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
     """Class sizes, fill order, and in exploration order every layout that
     can hold the classes.  A layout gives each class its (part, bit offset)
-    pairs and the mask of all its vertices, and each part its (class, offset)."""
+    pairs, the mask of all its vertices and its vertices by bit position
+    (0-based), and each part its (class, offset)."""
     if pat.p >= 1:
         sizes = pat.sizes
         # fill the small classes first; ties broken by class index
@@ -139,16 +155,10 @@ def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
             spans.append(tuple((i, where[i - 1][1]) for i in parts))
             full.append((1 << off) - 1)
         if all(m.bit_count() >= size for m, size in zip(full, sizes)):
-            layouts.append((tuple(spans), tuple(full), tuple(where)))
+            refs = tuple(tuple(VertexRef(i, a) for i, _ in span for a in range(1, ns[i - 1] + 1))
+                         for span in spans)
+            layouts.append((tuple(spans), tuple(full), tuple(where), refs))
     return sizes, order, tuple(layouts)
-
-
-def _locate(span, bit: int) -> tuple[int, int]:
-    """(part, index) of the vertex at 1-based position bit of a class mask."""
-    for i, off in reversed(span):
-        if bit > off:
-            break
-    return i, bit - off
 
 
 def _row(nbr, i: int, a: int, span) -> int:
@@ -159,9 +169,10 @@ def _row(nbr, i: int, a: int, span) -> int:
     return row
 
 
-def _search(g, pat: PatternSpec, required=()) -> Optional[Embedding]:
-    """First embedding over all layouts that uses every (part, index) in
-    ``required``, in g plus the edges joining the required vertices.
+def _decide(g, pat: PatternSpec, required=()):
+    """(vertices by class, class masks) of the first embedding over all
+    layouts that uses every (part, index) in ``required``, in g plus the edges
+    joining the required vertices; None when there is none.
 
     Each required vertex narrows the other classes to its neighbours in g;
     the one edge g lacks, between the two required vertices, is put back by
@@ -169,7 +180,8 @@ def _search(g, pat: PatternSpec, required=()) -> Optional[Embedding]:
     never required vertices, so every other row is read from g as is."""
     nbr = g.neighbors_mask
     sizes, order, layouts = _layouts(pat, g.part_sizes)
-    for spans, full, where in layouts:
+    for layout in layouts:
+        spans, full, where, refs = layout
         cand, req = list(full), [0] * len(full)
         for i, a in required:
             c, off = where[i - 1]
@@ -181,15 +193,71 @@ def _search(g, pat: PatternSpec, required=()) -> Optional[Embedding]:
                     cand[c2] &= _row(nbr, i, a, span)
         else:
             cand = [m | r for m, r in zip(cand, req)]
-            chosen = _fill(nbr, spans, sizes, order, cand, req)
+            chosen = _fill(nbr, layout, sizes, order, cand, req)
             if chosen is not None:
-                return Embedding(tuple(
-                    frozenset(VertexRef(*_locate(span, b)) for b in iter_bits(m))
-                    for span, m in zip(spans, chosen)))
+                return refs, chosen
     return None
 
 
-def _fill(nbr, spans, sizes, order, cand, req) -> Optional[list[int]]:
+def _witness(found) -> Optional[Embedding]:
+    """The embedding named by a result of :func:`_decide`, or None."""
+    if found is None:
+        return None
+    refs, chosen = found
+    return Embedding(tuple(frozenset(rs[b - 1] for b in iter_bits(m))
+                           for rs, m in zip(refs, chosen)))
+
+
+def _row_table(g, layouts):
+    """Per layout, class and bit position: that vertex's rows onto every
+    class, -1 onto its own (a vertex never narrows its own class)."""
+    nbr = g.neighbors_mask
+    return [tuple(tuple(tuple(-1 if c2 == c else _row(nbr, x.part, x.index, span)
+                              for c2, span in enumerate(spans)) for x in rs)
+                  for c, rs in enumerate(refs))
+            for spans, _, _, refs in layouts]
+
+
+def _uncompleted(g, pat: PatternSpec, nonedges):
+    """Yield (position, u, v) for each nonedge uv of the pattern-free g
+    whose addition completes no copy, in list order.
+
+    ``nonedges`` is in canonical order, so the nonedges sharing u and the
+    part of v come in runs.  Per run and layout the classes are narrowed by
+    u's row once, then by each pending v's row, and filled; a layout that
+    puts u and v in one class is skipped, its copies avoid uv.  Every row
+    comes from a table built once per call.  The answer for each nonedge is
+    the one :func:`contains_after` gives, with no witness built.
+    """
+    sizes, order, layouts = _layouts(pat, g.part_sizes)
+    tables = _row_table(g, layouts)
+    nbr = g.neighbors_mask
+    runs = itertools.groupby(enumerate(nonedges), key=lambda kv: (kv[1][0], kv[1][1].part))
+    for (u, j), run in runs:
+        pending = [(k, v) for k, (_, v) in run]
+        for layout, table in zip(layouts, tables):
+            where = layout[2]
+            (cu, off_u), (cv, off_v) = where[u.part - 1], where[j - 1]
+            if cu == cv:
+                continue
+            bu = off_u + u.index - 1
+            cand_u = [m & r for m, r in zip(layout[1], table[cu][bu])]
+            left = []
+            for k, v in pending:
+                bv = off_v + v.index - 1
+                req = [0] * len(cand_u)
+                req[cu], req[cv] = 1 << bu, 1 << bv
+                cand = [(m & r) | q for m, r, q in zip(cand_u, table[cv][bv], req)]
+                if _fill(nbr, layout, sizes, order, cand, req, table) is None:
+                    left.append((k, v))
+            pending = left
+            if not pending:
+                break
+        for k, v in pending:
+            yield k, u, v
+
+
+def _fill(nbr, layout, sizes, order, cand, req, table=None) -> Optional[list[int]]:
     """Class masks of the first embedding in exploration order, or None.
 
     Classes are filled in ``order`` and members in ascending bit order, so
@@ -197,7 +265,10 @@ def _fill(nbr, spans, sizes, order, cand, req) -> Optional[list[int]]:
     the later classes and is dropped as soon as one of them falls below its
     class size.  Required members stay in every mask: ``cand`` arrives
     narrowed to their neighbourhoods, so every pick is adjacent to them.
+    A picked vertex's rows come from ``table`` (see :func:`_row_table`)
+    when given, else from g one class at a time, as they are needed.
     """
+    spans, _, _, refs = layout
     chosen = list(req)
 
     def rec(k: int, cand: list[int], need: int, pool: int) -> bool:
@@ -210,10 +281,15 @@ def _fill(nbr, spans, sizes, order, cand, req) -> Optional[list[int]]:
         while pool.bit_count() >= need:
             low = pool & -pool
             pool ^= low
-            i, a = _locate(spans[c], low.bit_length())
+            b = low.bit_length() - 1
+            if table is not None:
+                rows = table[c][b]
+            else:
+                x = refs[c][b]
+                i, a = x.part, x.index
             narrowed = list(cand)
             for c2 in order[k + 1:]:
-                m2 = cand[c2] & _row(nbr, i, a, spans[c2])
+                m2 = cand[c2] & (rows[c2] if table is not None else _row(nbr, i, a, spans[c2]))
                 if m2.bit_count() < sizes[c2]:
                     break
                 narrowed[c2] = m2

@@ -18,6 +18,7 @@ lexicographic by (a, b) within a pair.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -54,9 +55,20 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def exact_int(x) -> int | None:
+    """x as an int when it is an integer (numpy integers included) and not
+    a bool; None for anything else, floats and strings among them."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return operator.index(x)
+    except TypeError:
+        return None
+
+
 def _check_sizes(part_sizes: tuple[int, int, int]) -> tuple[int, int, int]:
-    sizes = tuple(int(n) for n in part_sizes)
-    if len(sizes) != 3 or any(n < 1 for n in sizes):
+    sizes = tuple(exact_int(n) for n in part_sizes)
+    if len(sizes) != 3 or any(n is None or n < 1 for n in sizes):
         raise GraphError(f"part sizes must be three positive integers, got {part_sizes}")
     return sizes  # type: ignore[return-value]
 
@@ -223,9 +235,10 @@ def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]
 
 def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     """The complete tripartite host on parts of sizes n1 >= n2 >= n3 >= 1."""
+    sizes = _check_sizes((n1, n2, n3))
     if n1 < n2 or n2 < n3:
         raise GraphError(f"host part sizes must satisfy n1 >= n2 >= n3, got ({n1},{n2},{n3})")
-    return TripartiteGraph.from_edges((n1, n2, n3), host_edges((n1, n2, n3)))
+    return TripartiteGraph.from_edges(sizes, host_edges(sizes))
 
 
 def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
@@ -256,6 +269,17 @@ def degree_profile(g: TripartiteGraph) -> DegreeProfile:
     delta = tuple(min(sum(c.values()) for v, c in split.items() if v.part == i)
                   for i in PARTS)
     return DegreeProfile(delta=delta, split=split)
+
+
+def iso_invariant(g: TripartiteGraph) -> tuple:
+    """A value equal for any two part-respecting isomorphic graphs: per
+    part, its size and the sorted multiset of its vertices' sorted
+    split-degree tuples, the parts in sorted order.  Graphs with different
+    values are never isomorphic; equal values decide nothing."""
+    return tuple(sorted(
+        (n, tuple(sorted(tuple(sorted(_split_counts(g, i, a).values()))
+                         for a in range(1, n + 1))))
+        for i, n in zip(PARTS, g.part_sizes)))
 
 
 def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:

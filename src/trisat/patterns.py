@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import VertexRef
+from .graphs import VertexRef, exact_int
 
 
 class PatternError(ValueError):
@@ -29,6 +29,8 @@ class PatternSpec:
     p: int
 
     def __post_init__(self) -> None:
+        if any(exact_int(x) is None for x in self.sizes):
+            raise PatternError(f"class sizes must be integers, got {self.sizes}")
         if not (self.ell >= self.m >= self.p >= 0):
             raise PatternError(f"class sizes must satisfy l >= m >= p >= 0, got {self.sizes}")
         if self.m < 1:

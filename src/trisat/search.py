@@ -42,9 +42,9 @@ from functools import partial
 
 import numpy as np
 
-from .containment import _layouts, _locate, contains_after
-from .graphs import (GraphBuilder, TripartiteGraph, VertexRef, host_edges, iso_equivalent,
-                     iter_bits)
+from .containment import _layouts, contains_after
+from .graphs import (GraphBuilder, TripartiteGraph, exact_int, host_edges, iso_equivalent,
+                     iso_invariant, iter_bits)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -104,9 +104,9 @@ def resolve_workers(workers: int | None = None) -> int:
 
 
 def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
-    sizes = tuple(int(n) for n in host_sizes)
-    if len(sizes) != 3 or not (sizes[0] >= sizes[1] >= sizes[2] >= 1):
-        raise SearchError(f"host sizes must satisfy n1 >= n2 >= n3 >= 1, got {host_sizes}")
+    sizes = tuple(exact_int(n) for n in host_sizes)
+    if len(sizes) != 3 or None in sizes or not (sizes[0] >= sizes[1] >= sizes[2] >= 1):
+        raise SearchError(f"host sizes must be integers n1 >= n2 >= n3 >= 1, got {host_sizes}")
     return sizes
 
 
@@ -121,11 +121,9 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     idx = {e: k for k, e in enumerate(host_edges(sizes))}
     class_sizes, _, layouts = _layouts(pat, tuple(sizes))
     masks: set[int] = set()
-    for spans, full, _ in layouts:
-        members = [[VertexRef(*_locate(span, b)) for b in iter_bits(m)]
-                   for span, m in zip(spans, full)]
+    for *_, refs in layouts:
         for sel in itertools.product(*(itertools.combinations(vs, k)
-                                       for vs, k in zip(members, class_sizes))):
+                                       for vs, k in zip(refs, class_sizes))):
             mask = 0
             for s1, s2 in itertools.combinations(sel, 2):
                 for u, v in itertools.product(s1, s2):
@@ -294,11 +292,15 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
     masks = [m for p in parts if p[0] == value for m in p[1]]
     if not enumerate_all:
         masks = masks[:1]
-    # one witness per part-respecting isomorphism class
+    # one witness per part-respecting isomorphism class; only graphs with
+    # equal invariants can be isomorphic
     witnesses: list[TripartiteGraph] = []
+    keys: list[tuple] = []
     for g in (_mask_to_graph(sizes, edges, m) for m in masks):
-        if not any(iso_equivalent(g, h) for h in witnesses):
+        key = iso_invariant(g)
+        if not any(k == key and iso_equivalent(g, h) for k, h in zip(keys, witnesses)):
             witnesses.append(g)
+            keys.append(key)
     status = "budget_exhausted" if any(p[3] == "budget_exhausted" for p in parts) else "complete"
     return SearchResult(value=value, witnesses=witnesses, nodes_explored=sum(p[2] for p in parts),
                         method="exact", status=status)
@@ -375,8 +377,11 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     re-verified before being reported.
     """
     sizes = _check_host_sizes(host_sizes)
-    if trials < 1:
-        raise SearchError(f"need trials >= 1, got {trials}")
+    if exact_int(trials) is None or trials < 1:
+        raise SearchError(f"need an integer trials >= 1, got {trials!r}")
+    if exact_int(seed) is None:
+        raise SearchError(f"seed must be an integer, got {seed!r}")
+    trials, seed = int(trials), int(seed)
     edges = host_edges(sizes)
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None

@@ -7,17 +7,24 @@ machine-checkable :class:`SaturationReport`: either a forbidden-pattern
 witness, or the full list of host nonedges whose addition completes no copy
 (empty iff saturated).
 
-Freeness is checked first.  On a pattern-free graph the per-nonedge check
-may restrict itself to embeddings using both endpoints.  A graph that
-already contains the pattern needs no per-nonedge search at all: by
-monotonicity every G + e contains it too, so no nonedge violates.
+Freeness is checked first.  A graph that already contains the pattern
+needs no per-nonedge search at all: by monotonicity every G + e contains
+it too, so no nonedge violates.  On a pattern-free graph only embeddings
+using both endpoints of a nonedge can be new, and the nonedges are swept
+by endpoint rather than searched one at a time: the canonical nonedge list
+is walked in runs that share the first endpoint u and the part of v, the
+classes narrowed by u's row once per layout and then by each v's row, over
+a row table built once per call (see :mod:`trisat.containment`).  Each
+nonedge the sweep leaves uncompleted is re-confirmed with
+:func:`contains_after` before it is reported; a disagreement raises an
+internal :class:`VerifierError`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .containment import contains, contains_after
+from .containment import _uncompleted, contains, contains_after
 from .graphs import PARTS, TripartiteGraph, VertexRef, degree_profile, host_nonedges
 from .patterns import Embedding, PatternSpec
 
@@ -78,13 +85,16 @@ def is_saturated(g: TripartiteGraph, host_sizes: tuple[int, int, int],
         n1, n2, n3 = g.part_sizes
         checked = n1 * n2 + n1 * n3 + n2 * n3 - g.num_edges
     else:
-        checked = 0
-        for u, v in host_nonedges(g):
-            checked += 1
-            if contains_after(g, pat, u, v) is None:
-                violations.append((u, v))
-                if early_exit:
-                    break
+        nonedges = host_nonedges(g)
+        checked = len(nonedges)
+        for k, u, v in _uncompleted(g, pat, nonedges):
+            if contains_after(g, pat, u, v) is not None:
+                raise VerifierError(f"internal error: the nonedge sweep and contains_after "
+                                    f"disagree on {u}{v}")
+            violations.append((u, v))
+            if early_exit:
+                checked = k + 1
+                break
     return SaturationReport(
         pattern=pat,
         part_sizes=g.part_sizes,

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from trisat import (ContainmentError, GraphBuilder, PatternError, PatternSpec,
@@ -224,6 +225,14 @@ def test_pattern_validation():
         PatternSpec(2, 2, -1)
     assert PatternSpec(2, 2, 0).is_bipartite
     assert PatternSpec(2, 2, 0).nonempty_sizes == (2, 2)
+
+
+@pytest.mark.parametrize("sizes", [(1.5, 1, 1), (2, 1.0, 0), ("2", 1, 1), (True, 1, 0),
+                                   (1, True, 0), (2, 2, None)])
+def test_pattern_sizes_reject_non_integers(sizes):
+    with pytest.raises(PatternError):
+        PatternSpec(*sizes)
+    assert PatternSpec(np.int64(2), np.int64(1), 0).sizes == (2, 1, 0)
 
 
 def test_naive_guard():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from trisat import (GraphBuilder, GraphError, VertexRef, construction1,
@@ -20,6 +21,20 @@ def test_new_host_rejects_bad_ordering_and_zero():
         new_host(2, 3, 2)
     with pytest.raises(GraphError):
         new_host(2, 2, 0)
+
+
+@pytest.mark.parametrize("sizes", [(2.0, 2, 2), (3.7, 3, 3), ("3", 3, 3), (True, 1, 1),
+                                   (2, 2, None), (2, 2)])
+def test_part_sizes_reject_non_integers(sizes):
+    with pytest.raises(GraphError):
+        GraphBuilder(sizes)
+    with pytest.raises(GraphError):
+        host_edges(sizes)
+    if len(sizes) == 3:
+        with pytest.raises(GraphError):
+            new_host(*sizes)
+    # numpy integers are integers
+    assert GraphBuilder((np.int64(3), np.int32(2), 2)).part_sizes == (3, 2, 2)
 
 
 def test_degree_profile_complete_and_edgeless():

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from trisat import (PatternSpec, SearchError, construction_c4, enumerate_optima,
@@ -148,6 +149,30 @@ def test_guards():
         sat_greedy((2, 2, 2), PatternSpec(1, 1, 1), trials=0, seed=1)
     with pytest.raises(SearchError):
         sat_exact((2, 3, 2), PatternSpec(1, 1, 1))  # host ordering
+
+
+@pytest.mark.parametrize("sizes", [(3.7, 3, 3), ("3", 3, 3), (True, 1, 1), (2, 2, 1.0),
+                                   (2, 2)])
+@pytest.mark.parametrize("fn", [sat_exact, enumerate_optima, sat_exhaustive,
+                                lambda s, pat: sat_greedy(s, pat, 2, 1)])
+def test_host_sizes_reject_non_integers(fn, sizes):
+    with pytest.raises(SearchError):
+        fn(sizes, PatternSpec(1, 1, 1))
+
+
+@pytest.mark.parametrize("trials, seed", [(2.5, 1), (2.0, 1), ("2", 1), (True, 1),
+                                          (2, 1.0), (2, "1"), (2, False), (2, None)])
+def test_greedy_trials_and_seed_reject_non_integers(trials, seed):
+    with pytest.raises(SearchError):
+        sat_greedy((2, 2, 2), PatternSpec(1, 1, 1), trials, seed)
+
+
+def test_numpy_integer_arguments_are_integers():
+    pat = PatternSpec(1, 1, 1)
+    assert (sat_exact((np.int64(2), 2, 2), pat, workers=1).to_json_obj()
+            == sat_exact((2, 2, 2), pat, workers=1).to_json_obj())
+    assert (sat_greedy((2, 2, 2), pat, np.int64(3), np.uint32(5)).trial_values
+            == sat_greedy((2, 2, 2), pat, 3, 5).trial_values)
 
 
 def test_too_deep_search_raises_search_error():

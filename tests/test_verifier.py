@@ -44,6 +44,46 @@ def test_damaged_star_verdict_matches_naive_oracle():
     assert (VertexRef(1, 1), VertexRef(2, 2)) in rep.violating_nonedges
 
 
+def _free_graph(rnd: random.Random, sizes, pat: PatternSpec):
+    """Random pattern-free graph: edges in random order, kept while the
+    graph stays free, then thinned so that some nonedges stay incompletable."""
+    b = GraphBuilder(sizes)
+    edges = new_host(*sizes).edges()
+    rnd.shuffle(edges)
+    for u, v in edges:
+        b.add_edge(u, v)
+        if contains(b.build(), pat) is not None or rnd.random() < 0.3:
+            b.remove_edge(u, v)
+    return b.build()
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 0),
+                                   (1, 1, 0)])
+def test_nonedge_sweep_matches_naive_oracle(sizes):
+    # every report against contains_naive on g and on each g + e, on graphs
+    # of at most 15 vertices, half of them pattern-free by construction;
+    # a single edge completes K(1,1,0) anywhere, so only it has no violations
+    pat = PatternSpec(*sizes)
+    rnd = random.Random(sum(s << (4 * k) for k, s in enumerate(sizes)))
+    violated = 0
+    for t in range(40):
+        ns = random_sizes(rnd, 5)
+        g = (_free_graph(rnd, ns, pat) if t % 2 else
+             random_graph(rnd, ns, density=rnd.choice((0.2, 0.4, 0.6))))
+        nonedges = host_nonedges(g)
+        naive = [e for e in nonedges if contains_naive(g.with_edge(*e), pat) is None]
+        rep = is_saturated(g, ns, pat)
+        assert rep.is_pattern_free == (contains_naive(g, pat) is None)
+        assert rep.violating_nonedges == naive
+        assert rep.checked_nonedges == len(nonedges)
+        early = is_saturated(g, ns, pat, early_exit=True)
+        assert early.violating_nonedges == naive[:1]
+        assert early.checked_nonedges == (nonedges.index(naive[0]) + 1 if naive
+                                          else len(nonedges))
+        violated += bool(naive)
+    assert violated >= 10 or pat == PatternSpec(1, 1, 0)
+
+
 def test_certificate_soundness_direct_recheck():
     g = construction3(2, 2, 1, 5, 5, 5)
     pat = PatternSpec(2, 2, 1)
