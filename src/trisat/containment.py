@@ -29,9 +29,9 @@ the chosen class masks of the first embedding, or None.  Only
 :class:`Embedding`, reading each vertex from the per-layout tables cached
 with the layouts.  The verifier asks one question per host nonedge of a
 pattern-free graph, whether adding it completes a copy, and
-``_uncompleted`` answers all of them in one sweep by endpoint: the
-canonical nonedge list comes in runs that share the first endpoint u and
-the part of v, and per run and layout the classes are narrowed by u's row
+``_uncompleted`` answers all of them in one sweep by endpoint: it reads
+the nonedges from g's rows as runs that share the first endpoint u and the
+part of v, and per run and layout the classes are narrowed by u's row
 once, then by each v's row, and filled.  Its rows come from a table built
 once per sweep, each vertex's rows onto every class of every layout.  The
 sweep and the per-call search share the fill recursion ``_fill``, so they
@@ -45,7 +45,7 @@ import itertools
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import PARTS, VertexRef, iter_bits
+from .graphs import PARTS, VertexRef, iter_bits, nonedge_runs
 from .patterns import Embedding, PatternSpec
 
 
@@ -218,43 +218,39 @@ def _row_table(g, layouts):
             for spans, _, _, refs in layouts]
 
 
-def _uncompleted(g, pat: PatternSpec, nonedges):
+def _uncompleted(g, pat: PatternSpec):
     """Yield (position, u, v) for each nonedge uv of the pattern-free g
-    whose addition completes no copy, in list order.
+    whose addition completes no copy, position counting in canonical order.
 
-    ``nonedges`` is in canonical order, so the nonedges sharing u and the
-    part of v come in runs.  Per run and layout the classes are narrowed by
-    u's row once, then by each pending v's row, and filled; a layout that
-    puts u and v in one class is skipped, its copies avoid uv.  Every row
-    comes from a table built once per call.  The answer for each nonedge is
-    the one :func:`contains_after` gives, with no witness built.
+    Per run of g's nonedges (u = v_i^a, v = v_j^b for b over the mask) and
+    layout, the classes are narrowed by u's row once, then by each open v's
+    row, and filled; a layout that puts u and v in one class is skipped,
+    its copies avoid uv.  Every row comes from a table built once per call.
+    The answer for each nonedge is the one :func:`contains_after` gives.
     """
     sizes, order, layouts = _layouts(pat, g.part_sizes)
     tables = _row_table(g, layouts)
-    nbr = g.neighbors_mask
-    runs = itertools.groupby(enumerate(nonedges), key=lambda kv: (kv[1][0], kv[1][1].part))
-    for (u, j), run in runs:
-        pending = [(k, v) for k, (_, v) in run]
+    pos = 0
+    for i, a, j, mask in nonedge_runs(g):
+        left = mask
         for layout, table in zip(layouts, tables):
-            where = layout[2]
-            (cu, off_u), (cv, off_v) = where[u.part - 1], where[j - 1]
+            if not left:
+                break
+            (cu, off_u), (cv, off_v) = layout[2][i - 1], layout[2][j - 1]
             if cu == cv:
                 continue
-            bu = off_u + u.index - 1
+            bu = off_u + a - 1
             cand_u = [m & r for m, r in zip(layout[1], table[cu][bu])]
-            left = []
-            for k, v in pending:
-                bv = off_v + v.index - 1
+            for b in iter_bits(left):
+                bv = off_v + b - 1
                 req = [0] * len(cand_u)
                 req[cu], req[cv] = 1 << bu, 1 << bv
                 cand = [(m & r) | q for m, r, q in zip(cand_u, table[cv][bv], req)]
-                if _fill(nbr, layout, sizes, order, cand, req, table) is None:
-                    left.append((k, v))
-            pending = left
-            if not pending:
-                break
-        for k, v in pending:
-            yield k, u, v
+                if _fill(None, layout, sizes, order, cand, req, table) is not None:
+                    left ^= 1 << (b - 1)
+        for b in iter_bits(left):
+            yield pos + (mask & ((1 << (b - 1)) - 1)).bit_count(), VertexRef(i, a), VertexRef(j, b)
+        pos += mask.bit_count()
 
 
 def _fill(nbr, layout, sizes, order, cand, req, table=None) -> Optional[list[int]]:

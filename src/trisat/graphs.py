@@ -103,7 +103,7 @@ class _GraphReader:
 
     def edges(self) -> list[tuple[VertexRef, VertexRef]]:
         """All edges in canonical order."""
-        return _walk_rows(self.part_sizes, self.neighbors_mask)
+        return _walk_rows(_row_runs(self.part_sizes, self.neighbors_mask))
 
 
 class TripartiteGraph(_GraphReader):
@@ -220,17 +220,23 @@ class GraphBuilder(_GraphReader):
 
 # -- module-level operations --------------------------------------------------
 
-def _walk_rows(sizes: tuple[int, int, int], row_bits) -> list[tuple[VertexRef, VertexRef]]:
-    """The pairs (v_i^a, v_j^b) in canonical order, b running over the set
-    bits of ``row_bits(i, a, j)``: the one walk behind every edge list."""
-    return [(VertexRef(i, a), VertexRef(j, b)) for i, j in PAIR_ORDER
-            for a in range(1, sizes[i - 1] + 1) for b in iter_bits(row_bits(i, a, j))]
+def _row_runs(sizes: tuple[int, int, int], row_bits) -> Iterator[tuple[int, int, int, int]]:
+    """The runs ``(i, a, j, row_bits(i, a, j))`` in canonical order: the one walk behind
+    every edge list.  A run names the pairs (v_i^a, v_j^b), b over its mask's set bits."""
+    return ((i, a, j, row_bits(i, a, j)) for i, j in PAIR_ORDER
+            for a in range(1, sizes[i - 1] + 1))
+
+
+def _walk_rows(runs) -> list[tuple[VertexRef, VertexRef]]:
+    """The pairs named by ``runs``, in run order."""
+    return [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, mask in runs
+            for b in iter_bits(mask)]
 
 
 def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
     """Every edge of the complete host on these part sizes, in canonical order."""
     sizes = _check_sizes(sizes)
-    return _walk_rows(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1)
+    return _walk_rows(_row_runs(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1))
 
 
 def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
@@ -241,10 +247,14 @@ def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     return TripartiteGraph.from_edges(sizes, host_edges(sizes))
 
 
+def nonedge_runs(g: TripartiteGraph) -> Iterator[tuple[int, int, int, int]]:
+    """The nonedges of g relative to its complete host, as runs read from g's rows."""
+    return _row_runs(g.part_sizes, lambda i, a, j: g.part_mask(j) & ~g.neighbors_mask(i, a, j))
+
+
 def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
     """Nonedges of g relative to the complete host on its own part sizes."""
-    return _walk_rows(g.part_sizes,
-                      lambda i, a, j: g.part_mask(j) & ~g.neighbors_mask(i, a, j))
+    return _walk_rows(nonedge_runs(g))
 
 
 def _split_counts(g: _GraphReader, i: int, a: int) -> dict[int, int]:

@@ -29,8 +29,12 @@ class PatternSpec:
     p: int
 
     def __post_init__(self) -> None:
-        if any(exact_int(x) is None for x in self.sizes):
+        sizes = tuple(exact_int(x) for x in self.sizes)
+        if None in sizes:
             raise PatternError(f"class sizes must be integers, got {self.sizes}")
+        # numpy integers become plain ints, so reports serialize as JSON
+        for name, x in zip(("ell", "m", "p"), sizes):
+            object.__setattr__(self, name, x)
         if not (self.ell >= self.m >= self.p >= 0):
             raise PatternError(f"class sizes must satisfy l >= m >= p >= 0, got {self.sizes}")
         if self.m < 1:

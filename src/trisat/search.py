@@ -25,7 +25,8 @@ Exact search solves the branch tree as a list of subtrees, one per fixed
 prefix of include/exclude decisions, and merges their results in prefix
 order.  A sequential run is the one-subtree case (the empty prefix); with
 several workers the first decisions are fixed and the subtrees are solved
-in processes (``TRISAT_THREADS`` caps the worker count).  Value, status and
+in processes.  The worker count is ``workers`` when given, else the
+``TRISAT_THREADS`` value when set, else the CPU count.  Value, status and
 witnesses do not depend on the worker count, because subtrees never share
 incumbents; ``nodes_explored`` does, since it counts the nodes of the
 subtrees the tree was split into.
@@ -89,18 +90,23 @@ class SearchResult:
         }
 
 
+def _check_count(name: str, x, least: int) -> int:
+    n = exact_int(x)
+    if n is None or n < least:
+        raise SearchError(f"{name} must be an integer >= {least}, got {x!r}")
+    return n
+
+
 def resolve_workers(workers: int | None = None) -> int:
-    """Requested worker count, the TRISAT_THREADS cap, or machine parallelism."""
+    """``workers`` when given, else the TRISAT_THREADS value when set, else
+    the machine's CPU count; a worker count must be an integer >= 1."""
+    name = "workers"
     if workers is None:
         env = os.environ.get("TRISAT_THREADS", "").strip()
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise SearchError(f"TRISAT_THREADS must be an integer, got {env!r}") from None
-        else:
-            workers = os.cpu_count() or 1
-    return max(1, workers)
+        if not env:
+            return os.cpu_count() or 1
+        name, workers = "TRISAT_THREADS", int(env) if env.isdecimal() else env
+    return _check_count(name, workers, 1)
 
 
 def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
@@ -264,6 +270,11 @@ def _solve_subtree(n_edges: int, embeds: list[int], prefix: tuple[bool, ...],
 def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
                enumerate_all: bool, node_budget: int | None,
                workers: int | None, max_host_edges: int | None) -> SearchResult:
+    if node_budget is not None:
+        _check_count("node_budget", node_budget, 1)
+    if max_host_edges is not None:
+        _check_count("max_host_edges", max_host_edges, 0)
+    nworkers = resolve_workers(workers)
     edges = host_edges(sizes)
     n_edges = len(edges)
     if max_host_edges is not None and n_edges > max_host_edges:
@@ -275,7 +286,6 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         raise SearchError(
             f"host has {n_edges} edges, too deep for the recursion limit "
             f"{sys.getrecursionlimit()}")
-    nworkers = resolve_workers(workers)
     solve = partial(_solve_subtree, n_edges, pattern_edge_masks(sizes, pat),
                     enumerate_all=enumerate_all, budget=node_budget)
     if nworkers <= 1 or node_budget is not None or n_edges < 4:
@@ -377,11 +387,10 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     re-verified before being reported.
     """
     sizes = _check_host_sizes(host_sizes)
-    if exact_int(trials) is None or trials < 1:
-        raise SearchError(f"need an integer trials >= 1, got {trials!r}")
+    trials = _check_count("trials", trials, 1)
     if exact_int(seed) is None:
         raise SearchError(f"seed must be an integer, got {seed!r}")
-    trials, seed = int(trials), int(seed)
+    seed = int(seed)
     edges = host_edges(sizes)
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None

@@ -5,7 +5,8 @@ Two formats, both listing edges in canonical order:
 * ``json``  -- ``{"parts": [n1, n2, n3], "edges": [[i, a, j, b], ...]}``
   with i < j on every edge row.
 * ``edges`` -- ASCII text: a header line ``tripartite n1 n2 n3`` followed
-  by one line ``i a j b`` per edge, newline-terminated.
+  by one line ``i a j b`` per edge, newline-terminated; every number is
+  plain decimal digits (no sign, no ``_`` separator).
 
 ``deserialize`` auto-detects the format.  Malformed input raises
 :class:`FormatError` carrying the offending line or JSON position.
@@ -91,6 +92,14 @@ def _from_json(text: str) -> TripartiteGraph:
     return graph_from_json_obj(obj)
 
 
+def _decimals(fields: list[str]) -> list[int]:
+    """The fields as ints; ValueError unless each is plain ASCII decimal
+    digits (Python's ``int`` also takes signs, ``_`` and spaces)."""
+    if not all(x.isascii() and x.isdigit() for x in fields):
+        raise ValueError("not a decimal field")
+    return [int(x) for x in fields]
+
+
 def _from_edge_lines(text: str) -> TripartiteGraph:
     lines = text.splitlines()
     if not lines:
@@ -99,9 +108,9 @@ def _from_edge_lines(text: str) -> TripartiteGraph:
     if len(head) != 4 or head[0] != "tripartite":
         raise FormatError("line 1: expected header 'tripartite n1 n2 n3'")
     try:
-        sizes = tuple(int(x) for x in head[1:])
+        sizes = tuple(_decimals(head[1:]))
     except ValueError:
-        raise FormatError("line 1: part sizes must be integers") from None
+        raise FormatError("line 1: part sizes must be decimal integers") from None
     if any(n < 1 for n in sizes):
         raise FormatError("line 1: part sizes must be positive")
     b = GraphBuilder(sizes)
@@ -112,9 +121,9 @@ def _from_edge_lines(text: str) -> TripartiteGraph:
         if len(fields) != 4:
             raise FormatError(f"line {ln}: expected 'i a j b', got {line!r}")
         try:
-            i, a, j, bb = (int(x) for x in fields)
+            i, a, j, bb = _decimals(fields)
         except ValueError:
-            raise FormatError(f"line {ln}: non-integer field in {line!r}") from None
+            raise FormatError(f"line {ln}: non-decimal field in {line!r}") from None
         try:
             b.add_edge(VertexRef(i, a), VertexRef(j, bb))
         except GraphError as exc:

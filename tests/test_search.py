@@ -1,11 +1,12 @@
 """Search: exact vs exhaustive oracle, witnesses, greedy soundness, budgets."""
 
+import json
 import random
 
 import numpy as np
 import pytest
 
-from trisat import (PatternSpec, SearchError, construction_c4, enumerate_optima,
+from trisat import (PatternSpec, SearchError, construction1, construction_c4, enumerate_optima,
                     f_con1_upper, is_saturated, iso_equivalent, new_host,
                     sat_exact, sat_exhaustive, sat_greedy)
 from trisat.graphs import host_edges
@@ -160,6 +161,16 @@ def test_host_sizes_reject_non_integers(fn, sizes):
         fn(sizes, PatternSpec(1, 1, 1))
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"node_budget": "5"}, {"node_budget": 2.0}, {"node_budget": True}, {"node_budget": 0},
+    {"node_budget": -1}, {"workers": "2"}, {"workers": True}, {"workers": 0},
+    {"workers": -2}, {"max_host_edges": "40"}, {"max_host_edges": 40.0}])
+@pytest.mark.parametrize("fn", [sat_exact, enumerate_optima])
+def test_search_counts_reject_non_integers(fn, kwargs):
+    with pytest.raises(SearchError):
+        fn((2, 1, 1), PatternSpec(1, 1, 1), **kwargs)
+
+
 @pytest.mark.parametrize("trials, seed", [(2.5, 1), (2.0, 1), ("2", 1), (True, 1),
                                           (2, 1.0), (2, "1"), (2, False), (2, None)])
 def test_greedy_trials_and_seed_reject_non_integers(trials, seed):
@@ -173,6 +184,13 @@ def test_numpy_integer_arguments_are_integers():
             == sat_exact((2, 2, 2), pat, workers=1).to_json_obj())
     assert (sat_greedy((2, 2, 2), pat, np.int64(3), np.uint32(5)).trial_values
             == sat_greedy((2, 2, 2), pat, 3, 5).trial_values)
+    assert (sat_exact((2, 2, 2), pat, np.int64(50), workers=np.int64(1),
+                      max_host_edges=np.int64(12)).to_json_obj()
+            == sat_exact((2, 2, 2), pat, 50, workers=1, max_host_edges=12).to_json_obj())
+    # numpy class sizes are stored as ints, so the report serializes
+    report = is_saturated(construction1(1, 1, 4, 4, 4), (4, 4, 4),
+                          PatternSpec(np.int64(1), 1, 1)).to_json_obj()
+    assert json.loads(json.dumps(report)) == report and report["pattern"] == [1, 1, 1]
 
 
 def test_too_deep_search_raises_search_error():
@@ -245,9 +263,10 @@ def test_trisat_threads_env(monkeypatch):
     monkeypatch.setenv("TRISAT_THREADS", "3")
     assert resolve_workers() == 3
     assert resolve_workers(1) == 1  # explicit argument wins
-    monkeypatch.setenv("TRISAT_THREADS", "zebra")
-    with pytest.raises(SearchError):
-        resolve_workers()
+    for bad in ("zebra", "0", "-1", "1_0"):
+        monkeypatch.setenv("TRISAT_THREADS", bad)
+        with pytest.raises(SearchError):
+            resolve_workers()
 
 
 def test_triangle_value_on_balanced_host_matches_reference_formula():

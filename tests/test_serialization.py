@@ -45,6 +45,9 @@ def test_serialization_deterministic():
     (b"", "unrecognized"),
     (b"tripartite 1 1\n", "line 1"),
     (b"tripartite 1 1 x\n", "line 1"),
+    (b"tripartite 1_0 2 2\n", "line 1"),                 # int() would read 10
+    (b"tripartite +1 1 1\n", "line 1"),
+    (b"tripartite 1 1 1\n+1 1 2 0_1\n", "line 2"),
     (b"tripartite 1 1 1\n1 1 2\n", "line 2"),
     (b"tripartite 1 1 1\n1 1 1 1\n", "line 2"),          # same-part pair
     (b"tripartite 1 1 1\n1 1 2 1\n1 1 2 1\n", "line 3"),  # duplicate edge
