@@ -12,7 +12,14 @@ The search state is two bitsets over the pattern's embeddings in the host,
 ``clean`` (no edge excluded) and ``once`` (exactly one edge excluded), so
 each pruning test is a few big-integer ANDs: an include is refused when a
 clean embedding ends at that edge, and an excluded edge stays completable
-while some embedding through it is in ``once``.
+while some embedding through it is in ``once``.  Lex-leader predicates
+(Crawford, Ginsberg, Luks & Roy, KR 1996) cut the relabelings of each
+candidate: a subgraph is kept only if no swap of two adjacent vertices of
+one part makes its include vector, read in canonical edge order,
+lexicographically larger.  The include-first search reaches the lex-max
+member of every orbit first and that member satisfies every predicate, so
+values, witnesses and optimum classes are those of the search without the
+predicates; only ``nodes_explored`` shrinks.
 
 :func:`sat_exhaustive` iterates all 2^|E(host)| subgraphs with vectorized
 mask tests and is the independent oracle for ``sat_exact``.
@@ -25,11 +32,11 @@ Exact search solves the branch tree as a list of subtrees, one per fixed
 prefix of include/exclude decisions, and merges their results in prefix
 order.  A sequential run is the one-subtree case (the empty prefix); with
 several workers the first decisions are fixed and the subtrees are solved
-in processes.  The worker count is ``workers`` when given, else the
-``TRISAT_THREADS`` value when set, else the CPU count.  Value, status and
-witnesses do not depend on the worker count, because subtrees never share
-incumbents; ``nodes_explored`` does, since it counts the nodes of the
-subtrees the tree was split into.
+in processes, at most one per subtree.  The worker count is ``workers``
+when given, else the ``TRISAT_THREADS`` value when set, else the CPU
+count.  Value, status and witnesses do not depend on the worker count,
+because subtrees never share incumbents; ``nodes_explored`` does, since it
+counts the nodes of the subtrees the tree was split into.
 """
 
 from __future__ import annotations
@@ -44,8 +51,8 @@ from functools import partial
 import numpy as np
 
 from .containment import _layouts, contains_after
-from .graphs import (GraphBuilder, TripartiteGraph, exact_int, host_edges, iso_equivalent,
-                     iso_invariant, iter_bits)
+from .graphs import (GraphBuilder, TripartiteGraph, VertexRef, exact_int, host_edges,
+                     iso_equivalent, iso_invariant, iter_bits)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -138,6 +145,33 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     return sorted(masks)
 
 
+def swap_pairs(sizes: tuple[int, int, int]) -> list[tuple[tuple[int, int], ...]]:
+    """For each canonical host edge q, the pairs ``(generator bit, p)`` such
+    that the swap of two adjacent vertices v_i^{a-1}, v_i^a named by the bit
+    exchanges the edges p < q.
+
+    One bit per swap; q lists at most two pairs, one per endpoint with index
+    above 1.  A swap's pairs come in the same order by p as by q, so the
+    pair that decides the lex comparison is the first one decided.
+    """
+    edges = host_edges(sizes)
+    idx = {e: k for k, e in enumerate(edges)}
+    bit = {}
+    for i, n in zip((1, 2, 3), sizes):
+        for a in range(2, n + 1):
+            bit[i, a] = 1 << len(bit)
+    pairs = []
+    for u, v in edges:
+        entries = []
+        for w, x in ((u, v), (v, u)):
+            if w.index > 1:
+                w1 = VertexRef(w.part, w.index - 1)
+                entries.append((bit[w.part, w.index],
+                                idx[(w1, x) if w.part < x.part else (x, w1)]))
+        pairs.append(tuple(entries))
+    return pairs
+
+
 # -- branch-and-bound engine ----------------------------------------------------
 
 class _BranchEngine:
@@ -156,14 +190,30 @@ class _BranchEngine:
     ``exclude`` scans ``excl_has`` (``has[f]`` of each excluded f) only
     then.  At a full assignment every excluded edge is therefore completable
     and the included set is pattern-free: exactly the saturated subgraphs.
+
+    Lex-leader predicates cut the relabelings: read as the include vector x
+    in canonical order, a subgraph is kept only if no swap of two adjacent
+    vertices of one part makes x lexicographically larger.  ``swaps[q]``
+    lists the ``(generator bit, p)`` pairs that a swap exchanges with p < q,
+    and ``tight`` holds the generators whose pairs decided so far are all
+    equal.  Including q is refused when a tight generator has p excluded;
+    excluding q with p included settles that generator, which leaves
+    ``tight``.  The include-first DFS reaches the lex-max member of every
+    orbit first, and that member satisfies every predicate, so the reported
+    witnesses and classes do not change; only ``nodes`` does.
     """
 
-    __slots__ = ("n_edges", "has", "ends", "enumerate_all", "clean", "once",
+    __slots__ = ("n_edges", "has", "ends", "swaps", "enumerate_all", "clean", "once", "tight",
                  "excl_has", "incl_mask", "incl_total", "best", "witnesses", "nodes", "budget")
 
-    def __init__(self, n_edges: int, embeds: list[int], enumerate_all: bool,
-                 budget: int | None):
+    def __init__(self, n_edges: int, embeds: list[int], swaps: list[tuple[tuple[int, int], ...]],
+                 enumerate_all: bool, budget: int | None):
         self.n_edges = n_edges
+        self.swaps = swaps
+        self.tight = 0
+        for pairs in swaps:
+            for bit, _ in pairs:
+                self.tight |= bit
         self.has = [0] * n_edges
         self.ends = [0] * n_edges
         for k, m in enumerate(embeds):
@@ -182,7 +232,12 @@ class _BranchEngine:
         self.budget = budget
 
     def can_include(self, e: int) -> bool:
-        return not self.clean & self.ends[e]
+        if self.clean & self.ends[e]:
+            return False
+        for bit, p in self.swaps[e]:
+            if self.tight & bit and not self.incl_mask >> p & 1:
+                return False
+        return True
 
     def include(self, e: int) -> None:
         self.incl_mask |= 1 << e
@@ -191,8 +246,8 @@ class _BranchEngine:
     def exclude(self, e: int) -> bool:
         """Exclude the next edge e and push ``has[e]`` onto ``excl_has``;
         False, with nothing pushed, when e or an earlier excluded edge is
-        left with no potential completion.  The caller restores ``clean`` and
-        ``once`` either way."""
+        left with no potential completion.  The caller restores ``clean``,
+        ``once`` and ``tight`` either way."""
         has = self.has[e]
         fresh = self.clean & has
         if not fresh:
@@ -205,6 +260,9 @@ class _BranchEngine:
             for hf in self.excl_has:
                 if hf & lost and not hf & once:
                     return False
+        for bit, p in self.swaps[e]:
+            if self.incl_mask >> p & 1:
+                self.tight &= ~bit
         self.excl_has.append(has)
         return True
 
@@ -242,21 +300,21 @@ class _BranchEngine:
             self.dfs(idx + 1)
             self.incl_mask ^= 1 << idx
             self.incl_total -= 1
-        clean, once = self.clean, self.once
+        clean, once, tight = self.clean, self.once, self.tight
         if self.exclude(idx):
             self.dfs(idx + 1)
             self.excl_has.pop()
-        self.clean, self.once = clean, once
+        self.clean, self.once, self.tight = clean, once, tight
 
 
-def _solve_subtree(n_edges: int, embeds: list[int], prefix: tuple[bool, ...],
-                   enumerate_all: bool, budget: int | None):
+def _solve_subtree(n_edges: int, embeds: list[int], swaps: list[tuple[tuple[int, int], ...]],
+                   prefix: tuple[bool, ...], enumerate_all: bool, budget: int | None):
     """Search the subtree below a prefix of decisions (True = include).
 
     Returns (value, masks, nodes, status); value is None when the subtree
     holds no saturated subgraph within the budget.
     """
-    eng = _BranchEngine(n_edges, embeds, enumerate_all, budget)
+    eng = _BranchEngine(n_edges, embeds, swaps, enumerate_all, budget)
     if not eng.apply_prefix(prefix):
         return (None, [], 0, "complete")
     status = "complete"
@@ -286,7 +344,7 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         raise SearchError(
             f"host has {n_edges} edges, too deep for the recursion limit "
             f"{sys.getrecursionlimit()}")
-    solve = partial(_solve_subtree, n_edges, pattern_edge_masks(sizes, pat),
+    solve = partial(_solve_subtree, n_edges, pattern_edge_masks(sizes, pat), swap_pairs(sizes),
                     enumerate_all=enumerate_all, budget=node_budget)
     if nworkers <= 1 or node_budget is not None or n_edges < 4:
         # one tree, the empty prefix; a node budget is only exact when one search spends it
@@ -295,7 +353,7 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         depth = 1
         while (1 << depth) < 2 * nworkers and depth < min(n_edges, 8):
             depth += 1
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
+        with ProcessPoolExecutor(max_workers=min(nworkers, 1 << depth)) as pool:
             parts = list(pool.map(solve, itertools.product((True, False), repeat=depth)))
 
     value = min((p[0] for p in parts if p[0] is not None), default=None)
