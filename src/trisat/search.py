@@ -33,8 +33,8 @@ prefix of include/exclude decisions, and merges their results in prefix
 order.  A sequential run is the one-subtree case (the empty prefix); with
 several workers the first decisions are fixed and the subtrees are solved
 in processes, at most one per subtree.  The worker count is ``workers``
-when given, else the ``TRISAT_THREADS`` value when set, else the CPU
-count.  Value, status and witnesses do not depend on the worker count,
+when given, else the ``TRISAT_THREADS`` value when set, else 1 (one
+process).  Value, status and witnesses do not depend on the worker count,
 because subtrees never share incumbents; ``nodes_explored`` does, since it
 counts the nodes of the subtrees the tree was split into.
 """
@@ -44,7 +44,6 @@ from __future__ import annotations
 import itertools
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -106,12 +105,12 @@ def _check_count(name: str, x, least: int) -> int:
 
 def resolve_workers(workers: int | None = None) -> int:
     """``workers`` when given, else the TRISAT_THREADS value when set, else
-    the machine's CPU count; a worker count must be an integer >= 1."""
+    1 (one process); a worker count must be an integer >= 1."""
     name = "workers"
     if workers is None:
         env = os.environ.get("TRISAT_THREADS", "").strip()
         if not env:
-            return os.cpu_count() or 1
+            return 1
         name, workers = "TRISAT_THREADS", int(env) if env.isdecimal() else env
     return _check_count(name, workers, 1)
 
@@ -350,6 +349,8 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         # one tree, the empty prefix; a node budget is only exact when one search spends it
         parts = [solve(())]
     else:
+        # imported here so that importing trisat does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         depth = 1
         while (1 << depth) < 2 * nworkers and depth < min(n_edges, 8):
             depth += 1

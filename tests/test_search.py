@@ -1,7 +1,11 @@
 """Search: exact vs exhaustive oracle, witnesses, greedy soundness, budgets."""
 
+import concurrent.futures
 import json
+import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -275,6 +279,24 @@ def test_trisat_threads_env(monkeypatch):
         monkeypatch.setenv("TRISAT_THREADS", bad)
         with pytest.raises(SearchError):
             resolve_workers()
+    # unset: one process, so the default search is the sequential tree
+    monkeypatch.delenv("TRISAT_THREADS")
+    assert resolve_workers() == 1
+    pat = PatternSpec(1, 1, 1)
+    assert sat_exact((3, 2, 2), pat).nodes_explored == 579
+    assert enumerate_optima((3, 2, 2), pat).nodes_explored == 629
+
+
+def test_import_does_not_load_the_process_pool():
+    # the pool is imported only when a search asks for several workers
+    src = os.path.dirname(os.path.dirname(search.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, trisat; print(sorted(m for m in "
+            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_triangle_value_on_balanced_host_matches_reference_formula():
@@ -375,7 +397,8 @@ def test_pool_is_capped_at_the_subtree_count(monkeypatch):
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", InProcessPool)
+    # the pool branch imports the executor from concurrent.futures on each call
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
     pat = PatternSpec(1, 1, 1)
     r = sat_exact((2, 1, 1), pat, workers=64)
     assert seen == [32]
