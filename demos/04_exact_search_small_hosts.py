@@ -13,7 +13,7 @@ from trisat import (PatternSpec, construction_c4, enumerate_optima, f_c4,
 
 print("the four-cycle proposition, reproduced exactly:")
 for host in [(2, 2, 2), (3, 2, 2), (4, 3, 2), (3, 3, 3), (4, 4, 3)]:
-    r = sat_exact(host, PatternSpec(2, 2, 0), workers=1)
+    r = sat_exact(host, PatternSpec(2, 2, 0))
     print(f"  sat({host}, C4) = {r.value} (formula {f_c4(*host).value}), "
           f"{r.nodes_explored} nodes")
 
@@ -22,14 +22,14 @@ print("branch-and-bound vs the all-subgraph scan:")
 for host, ps in [((2, 2, 2), (1, 1, 1)), ((2, 2, 1), (2, 2, 1)),
                  ((3, 2, 2), (2, 1, 1))]:
     pat = PatternSpec(*ps)
-    ex = sat_exact(host, pat, workers=1)
+    ex = sat_exact(host, pat)
     bf = sat_exhaustive(host, pat)
     print(f"  host {host}, pattern {pat}: exact={ex.value}, exhaustive={bf.value}, "
           f"optima={len(bf.witnesses)}")
 
 print()
 print("all optima for C4 on (2,2,2), up to part-respecting isomorphism:")
-r = enumerate_optima((2, 2, 2), PatternSpec(2, 2, 0), workers=1)
+r = enumerate_optima((2, 2, 2), PatternSpec(2, 2, 0))
 star = construction_c4(2, 2, 2)
 for k, w in enumerate(r.witnesses):
     tag = " (the three-star construction)" if iso_equivalent(w, star) else ""
@@ -44,7 +44,7 @@ print("  the hub constructions; at (3,3,3) the value already matches but a")
 print("  second optimum class shows up:")
 from trisat import construction1, f_sat_lll  # noqa: E402
 
-r3 = enumerate_optima((3, 3, 3), PatternSpec(1, 1, 1), workers=1)
+r3 = enumerate_optima((3, 3, 3), PatternSpec(1, 1, 1))
 hub = construction1(1, 1, 3, 3, 3)
 print(f"  value={r3.value} (closed form {f_sat_lll(3, 3, 3, 1).value}), "
       f"optimum classes={len(r3.witnesses)}, "

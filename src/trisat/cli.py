@@ -4,8 +4,7 @@ Machine-readable results go to standard output (JSON, or graph data for
 ``construct``); human-facing summaries go to standard error.  Exit codes:
 0 success (for ``verify``: saturated), 1 verification refuted, 2 usage or
 I/O errors.  On error standard output carries at most one JSON error
-object.  ``TRISAT_THREADS``, when set, is the exact-search worker count;
-otherwise it is 1 (one process).
+object.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ certified by a finite check; such records carry ``hypothesis_satisfied =
 False`` plus an explanatory note, never a silent True.
 
 Shape preconditions (orderings, positivity) raise :class:`FormulaError`;
-size thresholds only toggle the hypothesis flag.  The size thresholds of
-the construction bounds are stated once, in the ``*_threshold`` functions,
-which the constructions also read to refuse hosts outside the regime.
+size thresholds only toggle the hypothesis flag and, for the exact-value
+records, whether the value is claimed as exact, as an upper bound or not
+at all.  The size thresholds of the construction bounds are stated once,
+in the ``*_threshold`` functions, which the constructions also read to
+refuse hosts outside the regime.
 """
 
 from __future__ import annotations
@@ -141,11 +143,24 @@ def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
         anchor="K_{l,m,p}-saturated hub-and-triangle construction in K_{n,n,n}")
 
 
+def _sat_claim(hyp: bool, threshold: int, n3: int, regime: int) -> tuple[str, str]:
+    """Kind and note of an exact-value record: exact at the size threshold,
+    else an upper bound only where the construction attaining the value is
+    saturated (n3 >= ``regime``), else no claim."""
+    if hyp:
+        return "exact", ""
+    below = f"below size threshold n3 >= {threshold}; "
+    if n3 >= regime:
+        return "upper", below + "value remains an upper bound"
+    return "reference", below + f"no construction is in regime (needs n3 >= {regime})"
+
+
 def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     """Exact saturation number of K_{l,l,l} in K_{n1,n2,n3} for large parts.
 
-    Exact once n3 >= 32 l^3 + 40 l^2 + 11 l; below the threshold the value is
-    still attained by a construction, hence an upper bound.
+    Exact once n3 >= 32 l^3 + 40 l^2 + 11 l.  Below that the value is the
+    hub construction's edge count, an upper bound once n3 >=
+    ``con1_threshold(l, l)``, and a bare reference value below that.
     """
     _check_host_order(n1, n2, n3)
     if l < 1:
@@ -153,15 +168,20 @@ def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     value = 2 * l * (n1 + n2 + n3) - 3 * l * l - 3
     threshold = 32 * l**3 + 40 * l**2 + 11 * l
     hyp = n3 >= threshold
+    kind, note = _sat_claim(hyp, threshold, n3, con1_threshold(l, l))
     return BoundRecord(
         name="sat_lll", params={"n1": n1, "n2": n2, "n3": n3, "l": l},
-        value=value, kind="exact" if hyp else "upper", hypothesis_satisfied=hyp,
-        anchor="saturation number of the balanced pattern K_{l,l,l}",
-        note="" if hyp else f"below size threshold n3 >= {threshold}; value remains an upper bound")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="saturation number of the balanced pattern K_{l,l,l}", note=note)
 
 
 def f_sat_lll1(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
-    """Exact saturation number of K_{l,l,l-1} in K_{n1,n2,n3} for large parts."""
+    """Exact saturation number of K_{l,l,l-1} in K_{n1,n2,n3} for large parts.
+
+    Exact once n3 >= 32 k^3 + 40 k^2 + 11 k with k = l - 1.  Below that the
+    value is the small-hub construction's edge count, an upper bound once
+    n3 >= ``con3_threshold(l)``, and a bare reference value below that.
+    """
     _check_host_order(n1, n2, n3)
     if l < 2:
         raise FormulaError(f"pattern K_(l,l,l-1) needs l >= 2, got {l}")
@@ -169,11 +189,11 @@ def f_sat_lll1(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     value = 2 * k * (n1 + n2 + n3) - 3 * k * k
     threshold = 32 * k**3 + 40 * k**2 + 11 * k
     hyp = n3 >= threshold
+    kind, note = _sat_claim(hyp, threshold, n3, con3_threshold(l))
     return BoundRecord(
         name="sat_lll1", params={"n1": n1, "n2": n2, "n3": n3, "l": l},
-        value=value, kind="exact" if hyp else "upper", hypothesis_satisfied=hyp,
-        anchor="saturation number of the near-balanced pattern K_{l,l,l-1}",
-        note="" if hyp else f"below size threshold n3 >= {threshold}; value remains an upper bound")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="saturation number of the near-balanced pattern K_{l,l,l-1}", note=note)
 
 
 def f_lll2_lower(n: int, l: int) -> BoundRecord:

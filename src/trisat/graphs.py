@@ -8,10 +8,10 @@ Adjacency is stored as one bitmask row per vertex per opposite part
 (bit b-1 of ``neighbors_mask(i, a, j)`` is set iff v_i^a ~ v_j^b), kept in
 both directions so neighbourhood intersections are cheap either way.
 
-A published ``TripartiteGraph`` is an immutable value and safe to share
-across workers; ``GraphBuilder`` is the single-owner mutable stage used
-while assembling one.  The canonical edge order used everywhere (iteration,
-serialization, search) is: part pair (1,2) before (1,3) before (2,3), and
+A published ``TripartiteGraph`` is an immutable value and safe to share;
+``GraphBuilder`` is the single-owner mutable stage used while assembling
+one.  The canonical edge order used everywhere (iteration, serialization,
+search) is: part pair (1,2) before (1,3) before (2,3), and
 lexicographic by (a, b) within a pair.
 """
 

@@ -27,25 +27,13 @@ mask tests and is the independent oracle for ``sat_exact``.
 isomorphism.  :func:`sat_greedy` draws seeded random edge permutations and
 keeps each edge iff the graph stays pattern-free; the scan ends in a
 maximal pattern-free, hence saturated, subgraph.
-
-Exact search solves the branch tree as a list of subtrees, one per fixed
-prefix of include/exclude decisions, and merges their results in prefix
-order.  A sequential run is the one-subtree case (the empty prefix); with
-several workers the first decisions are fixed and the subtrees are solved
-in processes, at most one per subtree.  The worker count is ``workers``
-when given, else the ``TRISAT_THREADS`` value when set, else 1 (one
-process).  Value, status and witnesses do not depend on the worker count,
-because subtrees never share incumbents; ``nodes_explored`` does, since it
-counts the nodes of the subtrees the tree was split into.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import sys
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -103,16 +91,11 @@ def _check_count(name: str, x, least: int) -> int:
     return n
 
 
-def resolve_workers(workers: int | None = None) -> int:
-    """``workers`` when given, else the TRISAT_THREADS value when set, else
-    1 (one process); a worker count must be an integer >= 1."""
-    name = "workers"
-    if workers is None:
-        env = os.environ.get("TRISAT_THREADS", "").strip()
-        if not env:
-            return 1
-        name, workers = "TRISAT_THREADS", int(env) if env.isdecimal() else env
-    return _check_count(name, workers, 1)
+def resolve_workers() -> int:
+    """Always 1: exact search runs in one process.  ``bench/run.py`` is the
+    only caller, recording it as ``search_workers``; the next benchmark
+    revision (ROADMAP item 1) deletes both."""
+    return 1
 
 
 def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
@@ -265,18 +248,6 @@ class _BranchEngine:
         self.excl_has.append(has)
         return True
 
-    def apply_prefix(self, prefix: tuple[bool, ...]) -> bool:
-        """Fix the first decisions (True = include); False if infeasible."""
-        for e, inc in enumerate(prefix):
-            if inc:
-                if not self.can_include(e):
-                    return False
-                self.include(e)
-            else:
-                if not self.exclude(e):
-                    return False
-        return True
-
     def dfs(self, idx: int) -> None:
         self.nodes += 1
         if self.budget is not None and self.nodes > self.budget:
@@ -306,32 +277,13 @@ class _BranchEngine:
         self.clean, self.once, self.tight = clean, once, tight
 
 
-def _solve_subtree(n_edges: int, embeds: list[int], swaps: list[tuple[tuple[int, int], ...]],
-                   prefix: tuple[bool, ...], enumerate_all: bool, budget: int | None):
-    """Search the subtree below a prefix of decisions (True = include).
-
-    Returns (value, masks, nodes, status); value is None when the subtree
-    holds no saturated subgraph within the budget.
-    """
-    eng = _BranchEngine(n_edges, embeds, swaps, enumerate_all, budget)
-    if not eng.apply_prefix(prefix):
-        return (None, [], 0, "complete")
-    status = "complete"
-    try:
-        eng.dfs(len(prefix))
-    except _BudgetExhausted:
-        status = "budget_exhausted"
-    return (eng.best if eng.witnesses else None, eng.witnesses, eng.nodes, status)
-
-
 def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
                enumerate_all: bool, node_budget: int | None,
-               workers: int | None, max_host_edges: int | None) -> SearchResult:
+               max_host_edges: int | None) -> SearchResult:
     if node_budget is not None:
         _check_count("node_budget", node_budget, 1)
     if max_host_edges is not None:
         _check_count("max_host_edges", max_host_edges, 0)
-    nworkers = resolve_workers(workers)
     edges = host_edges(sizes)
     n_edges = len(edges)
     if max_host_edges is not None and n_edges > max_host_edges:
@@ -343,40 +295,28 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         raise SearchError(
             f"host has {n_edges} edges, too deep for the recursion limit "
             f"{sys.getrecursionlimit()}")
-    solve = partial(_solve_subtree, n_edges, pattern_edge_masks(sizes, pat), swap_pairs(sizes),
-                    enumerate_all=enumerate_all, budget=node_budget)
-    if nworkers <= 1 or node_budget is not None or n_edges < 4:
-        # one tree, the empty prefix; a node budget is only exact when one search spends it
-        parts = [solve(())]
-    else:
-        # imported here so that importing trisat does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        depth = 1
-        while (1 << depth) < 2 * nworkers and depth < min(n_edges, 8):
-            depth += 1
-        with ProcessPoolExecutor(max_workers=min(nworkers, 1 << depth)) as pool:
-            parts = list(pool.map(solve, itertools.product((True, False), repeat=depth)))
-
-    value = min((p[0] for p in parts if p[0] is not None), default=None)
-    masks = [m for p in parts if p[0] == value for m in p[1]]
-    if not enumerate_all:
-        masks = masks[:1]
+    eng = _BranchEngine(n_edges, pattern_edge_masks(sizes, pat), swap_pairs(sizes),
+                        enumerate_all, node_budget)
+    status = "complete"
+    try:
+        eng.dfs(0)
+    except _BudgetExhausted:
+        status = "budget_exhausted"
     # one witness per part-respecting isomorphism class; only graphs with
     # equal invariants can be isomorphic
     witnesses: list[TripartiteGraph] = []
     keys: list[tuple] = []
-    for g in (_mask_to_graph(sizes, edges, m) for m in masks):
+    for g in (_mask_to_graph(sizes, edges, m) for m in eng.witnesses):
         key = iso_invariant(g)
         if not any(k == key and iso_equivalent(g, h) for k, h in zip(keys, witnesses)):
             witnesses.append(g)
             keys.append(key)
-    status = "budget_exhausted" if any(p[3] == "budget_exhausted" for p in parts) else "complete"
-    return SearchResult(value=value, witnesses=witnesses, nodes_explored=sum(p[2] for p in parts),
-                        method="exact", status=status)
+    return SearchResult(value=eng.best if eng.witnesses else None, witnesses=witnesses,
+                        nodes_explored=eng.nodes, method="exact", status=status)
 
 
 def sat_exact(host_sizes, pat: PatternSpec, node_budget: int | None = None, *,
-              workers: int | None = None, max_host_edges: int | None = 40) -> SearchResult:
+              max_host_edges: int | None = 40) -> SearchResult:
     """Exact saturation number by branch-and-bound; one optimal witness.
 
     When ``node_budget`` is exhausted the result carries status
@@ -385,15 +325,15 @@ def sat_exact(host_sizes, pat: PatternSpec, node_budget: int | None = None, *,
     """
     sizes = _check_host_sizes(host_sizes)
     return _run_exact(sizes, pat, enumerate_all=False, node_budget=node_budget,
-                      workers=workers, max_host_edges=max_host_edges)
+                      max_host_edges=max_host_edges)
 
 
 def enumerate_optima(host_sizes, pat: PatternSpec, node_budget: int | None = None, *,
-                     workers: int | None = None, max_host_edges: int | None = 40) -> SearchResult:
+                     max_host_edges: int | None = 40) -> SearchResult:
     """All minimum saturated subgraphs, deduplicated by part-respecting isomorphism."""
     sizes = _check_host_sizes(host_sizes)
     return _run_exact(sizes, pat, enumerate_all=True, node_budget=node_budget,
-                      workers=workers, max_host_edges=max_host_edges)
+                      max_host_edges=max_host_edges)
 
 
 def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:

@@ -33,7 +33,14 @@ def test_sat_lll_values_and_thresholds():
     low = f_sat_lll(5, 5, 5, 2)
     # 2*2*15 - 3*4 - 3 = 45, matching the l=m construction count
     assert low.value == 45 == f_con1_upper(5, 5, 5, 2, 2).value
-    assert not low.hypothesis_satisfied and low.kind == "upper"
+    assert not low.hypothesis_satisfied and low.kind == "upper"  # 5 >= con1_threshold(2, 2) = 4
+    # below con1_threshold(l, l) no construction is in regime, and the exact
+    # values lie above the formula: sat = 2 on (1,1,1) with l=1, 3 with l=2
+    for args in ((1, 1, 1, 1), (1, 1, 1, 2), (2, 1, 1, 1), (3, 1, 1, 2), (2, 2, 2, 2),
+                 (3, 2, 2, 2)):
+        rec = f_sat_lll(*args)
+        assert rec.kind == "reference" and "no construction is in regime" in rec.note, args
+    assert f_sat_lll(2, 2, 2, 2).value == 9  # the value itself does not change
 
 
 def test_sat_lll1_values_and_thresholds():
@@ -42,6 +49,8 @@ def test_sat_lll1_values_and_thresholds():
     assert rec.value == 495 and rec.hypothesis_satisfied  # boundary: threshold 83
     rec3 = f_sat_lll1(10, 10, 10, 3)
     assert rec3.value == 108 and not rec3.hypothesis_satisfied
+    assert f_sat_lll1(2, 2, 2, 2).kind == "upper"  # n3 = 2 >= con3_threshold(2)
+    assert f_sat_lll1(2, 2, 1, 2).kind == "reference"
     with pytest.raises(FormulaError):
         f_sat_lll1(10, 10, 10, 1)
 

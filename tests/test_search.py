@@ -1,6 +1,5 @@
 """Search: exact vs exhaustive oracle, witnesses, greedy soundness, budgets."""
 
-import concurrent.futures
 import json
 import os
 import random
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 from trisat import (PatternSpec, SearchError, construction1, construction_c4, enumerate_optima,
-                    f_con1_upper, is_saturated, iso_equivalent, new_host,
+                    f_con1_upper, f_sat_lll, f_sat_lll1, is_saturated, iso_equivalent, new_host,
                     sat_exact, sat_exhaustive, sat_greedy)
 from trisat import search
 from trisat.graphs import host_edges, iter_bits
@@ -21,18 +20,18 @@ from trisat.containment import contains
 
 def test_c4_proposition_values():
     pat = PatternSpec(2, 2, 0)
-    r = sat_exact((2, 2, 2), pat, workers=1)
+    r = sat_exact((2, 2, 2), pat)
     assert r.value == 6
     assert iso_equivalent(r.witnesses[0], construction_c4(2, 2, 2))
-    assert sat_exact((3, 2, 2), pat, workers=1).value == 7
+    assert sat_exact((3, 2, 2), pat).value == 7
 
 
 def test_c4_proposition_beyond_the_small_grid():
     # n1 + n2 + n3 keeps matching on bigger hosts, up to the 40-edge guard
     pat = PatternSpec(2, 2, 0)
-    assert sat_exact((4, 3, 2), pat, workers=1, max_host_edges=None).value == 9
-    assert sat_exact((3, 3, 3), pat, workers=1, max_host_edges=None).value == 9
-    assert sat_exact((4, 4, 3), pat, workers=1).value == 11
+    assert sat_exact((4, 3, 2), pat, max_host_edges=None).value == 9
+    assert sat_exact((3, 3, 3), pat, max_host_edges=None).value == 9
+    assert sat_exact((4, 4, 3), pat).value == 11
 
 
 def test_exhaustive_tiny_triangle():
@@ -48,13 +47,13 @@ def test_exact_matches_exhaustive_sample():
     for host, ps in [((2, 2, 1), (1, 1, 1)), ((2, 2, 2), (1, 1, 1)),
                      ((2, 2, 2), (2, 2, 0)), ((2, 1, 1), (2, 2, 1))]:
         pat = PatternSpec(*ps)
-        assert sat_exact(host, pat, workers=1).value == sat_exhaustive(host, pat).value
+        assert sat_exact(host, pat).value == sat_exhaustive(host, pat).value
 
 
 def test_exact_witness_is_certified():
     for host, ps in [((2, 2, 2), (2, 2, 0)), ((3, 2, 2), (2, 1, 1))]:
         pat = PatternSpec(*ps)
-        r = sat_exact(host, pat, workers=1)
+        r = sat_exact(host, pat)
         assert r.value == r.witnesses[0].num_edges
         assert is_saturated(r.witnesses[0], host, pat).is_saturated
 
@@ -86,7 +85,7 @@ def test_pattern_edge_masks_agree_with_containment():
 
 
 def test_enumerate_optima_dedup_and_star():
-    r = enumerate_optima((2, 2, 2), PatternSpec(2, 2, 0), workers=1)
+    r = enumerate_optima((2, 2, 2), PatternSpec(2, 2, 0))
     assert r.value == 6
     assert any(iso_equivalent(w, construction_c4(2, 2, 2)) for w in r.witnesses)
     # pairwise non-isomorphic after dedup
@@ -97,53 +96,39 @@ def test_enumerate_optima_dedup_and_star():
         assert is_saturated(w, (2, 2, 2), PatternSpec(2, 2, 0)).is_saturated
 
 
-def test_enumerate_deterministic_across_worker_counts():
-    pat = PatternSpec(2, 2, 0)
-    results = [enumerate_optima((2, 2, 2), pat, workers=k) for k in (1, 3)]
-    baseline = [sorted((u.part, u.index, v.part, v.index) for u, v in w.edges())
-                for w in results[0].witnesses]
-    for r in results[1:]:
-        assert r.value == results[0].value
-        assert baseline == [sorted((u.part, u.index, v.part, v.index)
-                                   for u, v in w.edges()) for w in r.witnesses]
-
-
-def test_exact_deterministic_across_worker_counts():
-    pat = PatternSpec(1, 1, 1)
-    r1 = sat_exact((2, 2, 2), pat, workers=1)
-    r2 = sat_exact((2, 2, 2), pat, workers=4)
-    assert r1.value == r2.value
-    assert r1.witnesses[0] == r2.witnesses[0]
+def test_exact_and_enumerate_deterministic():
+    # two calls give the same bytes: value, status, node count and witnesses
+    for fn, ps in ((sat_exact, (1, 1, 1)), (enumerate_optima, (2, 2, 0))):
+        r1, r2 = (fn((2, 2, 2), PatternSpec(*ps)) for _ in range(2))
+        assert r1.to_json_obj() == r2.to_json_obj()
 
 
 _PINNED_NODES = [
-    (sat_exact, (2, 2, 2), (1, 1, 1), 169, 169),
-    (sat_exact, (2, 2, 2), (2, 2, 0), 136, 134),
-    (sat_exact, (3, 2, 2), (1, 1, 1), 579, 590),
-    (sat_exact, (3, 2, 2), (2, 2, 0), 356, 354),
-    (enumerate_optima, (2, 2, 2), (1, 1, 1), 173, 171),
-    (enumerate_optima, (2, 2, 2), (2, 2, 0), 169, 166),
-    (enumerate_optima, (3, 2, 2), (1, 1, 1), 629, 632),
-    (enumerate_optima, (3, 2, 2), (2, 2, 0), 453, 450),
+    (sat_exact, (2, 2, 2), (1, 1, 1), 169),
+    (sat_exact, (2, 2, 2), (2, 2, 0), 136),
+    (sat_exact, (3, 2, 2), (1, 1, 1), 579),
+    (sat_exact, (3, 2, 2), (2, 2, 0), 356),
+    (enumerate_optima, (2, 2, 2), (1, 1, 1), 173),
+    (enumerate_optima, (2, 2, 2), (2, 2, 0), 169),
+    (enumerate_optima, (3, 2, 2), (1, 1, 1), 629),
+    (enumerate_optima, (3, 2, 2), (2, 2, 0), 453),
 ]
 
 
 # the ids leave the counts out, so a change to the search re-pins the
 # literals without renaming the cases
-@pytest.mark.parametrize("fn, host, ps, nodes_seq, nodes_split", _PINNED_NODES,
+@pytest.mark.parametrize("fn, host, ps, nodes", _PINNED_NODES,
                          ids=[f"{fn.__name__}-{''.join(map(str, host))}-{''.join(map(str, ps))}"
                               for fn, host, ps, *_ in _PINNED_NODES])
-def test_node_counts_pinned(fn, host, ps, nodes_seq, nodes_split):
-    # node counts do not depend on the machine, only on the search and on
-    # the split: one subtree at workers=1, four fixed subtrees at workers=2
-    for workers, nodes in ((1, nodes_seq), (2, nodes_split)):
-        r = fn(host, PatternSpec(*ps), workers=workers)
-        assert (r.nodes_explored, r.status) == (nodes, "complete")
+def test_node_counts_pinned(fn, host, ps, nodes):
+    # node counts do not depend on the machine, only on the search
+    r = fn(host, PatternSpec(*ps))
+    assert (r.nodes_explored, r.status) == (nodes, "complete")
 
 
 def test_node_budget_searches_one_tree():
-    # a budget is spent by one search even when workers are available
-    r = sat_exact((3, 2, 2), PatternSpec(1, 1, 1), node_budget=50, workers=2)
+    # the budget caps the nodes of the one search tree
+    r = sat_exact((3, 2, 2), PatternSpec(1, 1, 1), node_budget=50)
     assert (r.nodes_explored, r.status, r.value) == (51, "budget_exhausted", 12)
 
 
@@ -175,8 +160,9 @@ def test_host_sizes_reject_non_integers(fn, sizes):
 
 @pytest.mark.parametrize("kwargs", [
     {"node_budget": "5"}, {"node_budget": 2.0}, {"node_budget": True}, {"node_budget": 0},
-    {"node_budget": -1}, {"workers": "2"}, {"workers": True}, {"workers": 0},
-    {"workers": -2}, {"max_host_edges": "40"}, {"max_host_edges": 40.0}])
+    {"node_budget": -1}, {"max_host_edges": "40"}, {"max_host_edges": 40.0},
+    {"max_host_edges": True}, {"max_host_edges": -1}, {"max_host_edges": 12.5},
+    {"max_host_edges": np.float64(40)}])
 @pytest.mark.parametrize("fn", [sat_exact, enumerate_optima])
 def test_search_counts_reject_non_integers(fn, kwargs):
     with pytest.raises(SearchError):
@@ -192,13 +178,12 @@ def test_greedy_trials_and_seed_reject_non_integers(trials, seed):
 
 def test_numpy_integer_arguments_are_integers():
     pat = PatternSpec(1, 1, 1)
-    assert (sat_exact((np.int64(2), 2, 2), pat, workers=1).to_json_obj()
-            == sat_exact((2, 2, 2), pat, workers=1).to_json_obj())
+    assert (sat_exact((np.int64(2), 2, 2), pat).to_json_obj()
+            == sat_exact((2, 2, 2), pat).to_json_obj())
     assert (sat_greedy((2, 2, 2), pat, np.int64(3), np.uint32(5)).trial_values
             == sat_greedy((2, 2, 2), pat, 3, 5).trial_values)
-    assert (sat_exact((2, 2, 2), pat, np.int64(50), workers=np.int64(1),
-                      max_host_edges=np.int64(12)).to_json_obj()
-            == sat_exact((2, 2, 2), pat, 50, workers=1, max_host_edges=12).to_json_obj())
+    assert (sat_exact((2, 2, 2), pat, np.int64(50), max_host_edges=np.int64(12)).to_json_obj()
+            == sat_exact((2, 2, 2), pat, 50, max_host_edges=12).to_json_obj())
     # numpy class sizes are stored as ints, so the report serializes
     report = is_saturated(construction1(1, 1, 4, 4, 4), (4, 4, 4),
                           PatternSpec(np.int64(1), 1, 1)).to_json_obj()
@@ -212,7 +197,7 @@ def test_too_deep_search_raises_search_error():
 
 
 def test_guard_override():
-    r = sat_exact((3, 3, 2), PatternSpec(2, 2, 1), workers=1, max_host_edges=21)
+    r = sat_exact((3, 3, 2), PatternSpec(2, 2, 1), max_host_edges=21)
     assert r.value is not None
 
 
@@ -237,12 +222,12 @@ def test_exact_at_most_construction_where_host_fits():
     # constructions happen to be exactly optimal
     from trisat import construction1, construction3
     star = construction_c4(2, 2, 2)
-    assert sat_exact((2, 2, 2), PatternSpec(2, 2, 0), workers=1).value == star.num_edges
+    assert sat_exact((2, 2, 2), PatternSpec(2, 2, 0)).value == star.num_edges
     hub = construction1(1, 1, 3, 3, 3)
-    assert sat_exact((3, 3, 3), PatternSpec(1, 1, 1), workers=1,
+    assert sat_exact((3, 3, 3), PatternSpec(1, 1, 1),
                      max_host_edges=None).value == hub.num_edges == 12
     small = construction3(2, 2, 1, 2, 2, 2)
-    assert sat_exact((2, 2, 2), PatternSpec(2, 2, 1), workers=1).value == small.num_edges == 9
+    assert sat_exact((2, 2, 2), PatternSpec(2, 2, 1)).value == small.num_edges == 9
 
 
 def test_greedy_at_least_exact():
@@ -250,7 +235,7 @@ def test_greedy_at_least_exact():
     for host, ps in [((2, 2, 2), (1, 1, 1)), ((2, 2, 2), (2, 2, 0)),
                      ((2, 2, 1), (2, 2, 1))]:
         pat = PatternSpec(*ps)
-        exact = sat_exact(host, pat, workers=1).value
+        exact = sat_exact(host, pat).value
         for seed in (rnd.randint(0, 10**6) for _ in range(5)):
             assert sat_greedy(host, pat, trials=3, seed=seed).value >= exact
 
@@ -258,37 +243,20 @@ def test_greedy_at_least_exact():
 def test_pattern_that_cannot_fit_forces_complete_host():
     # K(2,2,1) cannot embed in the (1,1,1) host, so the only maximal
     # pattern-free subgraph is the host itself
-    r = sat_exact((1, 1, 1), PatternSpec(2, 2, 1), workers=1)
+    r = sat_exact((1, 1, 1), PatternSpec(2, 2, 1))
     assert r.value == 3
     assert r.witnesses[0] == new_host(1, 1, 1)
 
 
 def test_enumerate_triangle_witnesses_all_certified():
-    r = enumerate_optima((2, 2, 2), PatternSpec(1, 1, 1), workers=1)
+    r = enumerate_optima((2, 2, 2), PatternSpec(1, 1, 1))
     assert r.value == 6 and len(r.witnesses) >= 1
     for w in r.witnesses:
         assert is_saturated(w, (2, 2, 2), PatternSpec(1, 1, 1)).is_saturated
 
 
-def test_trisat_threads_env(monkeypatch):
-    from trisat.search import resolve_workers
-    monkeypatch.setenv("TRISAT_THREADS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(1) == 1  # explicit argument wins
-    for bad in ("zebra", "0", "-1", "1_0"):
-        monkeypatch.setenv("TRISAT_THREADS", bad)
-        with pytest.raises(SearchError):
-            resolve_workers()
-    # unset: one process, so the default search is the sequential tree
-    monkeypatch.delenv("TRISAT_THREADS")
-    assert resolve_workers() == 1
-    pat = PatternSpec(1, 1, 1)
-    assert sat_exact((3, 2, 2), pat).nodes_explored == 579
-    assert enumerate_optima((3, 2, 2), pat).nodes_explored == 629
-
-
 def test_import_does_not_load_the_process_pool():
-    # the pool is imported only when a search asks for several workers
+    # exact search runs in one process, so nothing imports the pool
     src = os.path.dirname(os.path.dirname(search.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
@@ -303,7 +271,7 @@ def test_triangle_value_on_balanced_host_matches_reference_formula():
     # the multipartite triangle formula evaluated at n=3 agrees with the
     # exact search even though its stated hypothesis needs n >= 100
     from trisat import f_fjpw
-    r = sat_exact((3, 3, 3), PatternSpec(1, 1, 1), workers=1)
+    r = sat_exact((3, 3, 3), PatternSpec(1, 1, 1))
     assert r.value == 12 == f_fjpw(3, 3).value
 
 
@@ -312,7 +280,7 @@ def test_uniqueness_probe_triangle_on_3x3x3():
     # threshold: the hub construction appears among the optima and the
     # closed-form value still matches, but it is not the unique class here
     from trisat import construction1, f_sat_lll
-    r = enumerate_optima((3, 3, 3), PatternSpec(1, 1, 1), workers=1)
+    r = enumerate_optima((3, 3, 3), PatternSpec(1, 1, 1))
     assert r.value == 12 == f_sat_lll(3, 3, 3, 1).value
     hub = construction1(1, 1, 3, 3, 3)
     assert any(iso_equivalent(w, hub) for w in r.witnesses)
@@ -328,7 +296,7 @@ _SMALL_HOSTS = [(n, 1, 1) for n in range(1, 8)] + [
 
 def test_exact_matches_exhaustive_on_every_small_host():
     # values, the sat_exact witness and the optima's isomorphism classes
-    # against the scan of all subgraphs, at both worker counts
+    # against the scan of all subgraphs
     for host in _SMALL_HOSTS:
         for ps in [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 0), (1, 1, 0)]:
             pat = PatternSpec(*ps)
@@ -338,18 +306,33 @@ def test_exact_matches_exhaustive_on_every_small_host():
             for w in oracle.witnesses:
                 if not any(iso_equivalent(w, c) for c in classes):
                     classes.append(w)
-            for workers in (1, 2):
-                case = (host, ps, workers)
-                r = sat_exact(host, pat, workers=workers)
-                assert (r.value, r.status) == (oracle.value, "complete"), case
-                assert r.witnesses[0] in winners, case
-                opt = enumerate_optima(host, pat, workers=workers)
-                assert (opt.value, opt.status) == (oracle.value, "complete"), case
-                assert all(w in winners for w in opt.witnesses), case
-                # each optimum names a distinct class, and every class is named
-                named = sorted(next((k for k, c in enumerate(classes) if iso_equivalent(w, c)),
-                                    -1) for w in opt.witnesses)
-                assert named == list(range(len(classes))), case
+            case = (host, ps)
+            r = sat_exact(host, pat)
+            assert (r.value, r.status) == (oracle.value, "complete"), case
+            assert r.witnesses[0] in winners, case
+            opt = enumerate_optima(host, pat)
+            assert (opt.value, opt.status) == (oracle.value, "complete"), case
+            assert all(w in winners for w in opt.witnesses), case
+            # each optimum names a distinct class, and every class is named
+            named = sorted(next((k for k, c in enumerate(classes) if iso_equivalent(w, c)),
+                                -1) for w in opt.witnesses)
+            assert named == list(range(len(classes))), case
+
+
+def test_upper_claims_hold_on_every_small_host():
+    # a sat_lll / sat_lll1 record marked "upper" claims sat <= value; only
+    # hosts where the attaining construction is saturated may carry it
+    checked = []
+    for host in _SMALL_HOSTS:
+        for l in (1, 2, 3):
+            records = [(f_sat_lll(*host, l), (l, l, l))]
+            if l >= 2:
+                records.append((f_sat_lll1(*host, l), (l, l, l - 1)))
+            for rec, ps in records:
+                if rec.kind == "upper":
+                    assert sat_exact(host, PatternSpec(*ps)).value <= rec.value, (host, ps)
+                    checked.append((host, ps))
+    assert checked == [((2, 2, 2), (2, 2, 1)), ((3, 2, 2), (2, 2, 1))]
 
 
 def _edge_codes(g) -> str:
@@ -362,7 +345,7 @@ def test_witnesses_are_the_lex_max_optima():
     # include-first search reaches first, so the witnesses are those of the
     # search without the predicates (these literals); a sound lex-min
     # variant passes every value test and fails this one
-    r = sat_exact((3, 3, 3), PatternSpec(2, 2, 1), workers=1)
+    r = sat_exact((3, 3, 3), PatternSpec(2, 2, 1))
     assert _edge_codes(r.witnesses[0]) == (
         "1121 1122 1123 1221 1321 1131 1132 1133 1231 1331 2131 2132 2133 2231 2331")
     classes = [
@@ -374,36 +357,8 @@ def test_witnesses_are_the_lex_max_optima():
         "1121 1221 1322 1131 1231 1332 1431 1432 2132 2231 2331 2332",
         "1121 1222 1131 1232 1331 1332 1431 1432 2132 2231 2331 2332",
     ]
-    for workers in (1, 2):
-        opt = enumerate_optima((4, 3, 2), PatternSpec(1, 1, 1), workers=workers)
-        assert [_edge_codes(w) for w in opt.witnesses] == classes
-
-
-def test_pool_is_capped_at_the_subtree_count(monkeypatch):
-    # (2,1,1) has 5 edges, so the split fixes all 5 decisions: 32 subtrees,
-    # and 64 workers would leave 32 idle
-    seen = []
-
-    class InProcessPool:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # the pool branch imports the executor from concurrent.futures on each call
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
-    pat = PatternSpec(1, 1, 1)
-    r = sat_exact((2, 1, 1), pat, workers=64)
-    assert seen == [32]
-    one = sat_exact((2, 1, 1), pat, workers=1)
-    assert (r.value, r.status, r.witnesses) == (one.value, one.status, one.witnesses)
+    opt = enumerate_optima((4, 3, 2), PatternSpec(1, 1, 1))
+    assert [_edge_codes(w) for w in opt.witnesses] == classes
 
 
 def _ilp_sat(sizes, pat) -> int:
@@ -445,7 +400,7 @@ def test_triangle_values_match_ilp_oracle(host, value):
     # above the 16 edges of sat_exhaustive, an integer program is the oracle
     pytest.importorskip("scipy")
     pat = PatternSpec(1, 1, 1)
-    assert _ilp_sat(host, pat) == value == sat_exact(host, pat, workers=1).value
+    assert _ilp_sat(host, pat) == value == sat_exact(host, pat).value
 
 
 @pytest.mark.parametrize("ps, value", [((1, 1, 1), 16), ((2, 2, 1), 19)])
@@ -454,7 +409,7 @@ def test_exact_values_on_the_40_edge_host(ps, value):
     # confirms K(1,1,1) above; it did not settle K(2,2,1) within 120 s, so
     # that value rests on the branch engine alone
     pat = PatternSpec(*ps)
-    r = sat_exact((4, 4, 3), pat, workers=1)
+    r = sat_exact((4, 4, 3), pat)
     assert (r.value, r.status) == (value, "complete")
     assert r.witnesses[0].num_edges == value
     assert is_saturated(r.witnesses[0], (4, 4, 3), pat).is_saturated
