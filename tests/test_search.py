@@ -96,11 +96,30 @@ def test_enumerate_optima_dedup_and_star():
         assert is_saturated(w, (2, 2, 2), PatternSpec(2, 2, 0)).is_saturated
 
 
-def test_exact_and_enumerate_deterministic():
-    # two calls give the same bytes: value, status, node count and witnesses
-    for fn, ps in ((sat_exact, (1, 1, 1)), (enumerate_optima, (2, 2, 0))):
-        r1, r2 = (fn((2, 2, 2), PatternSpec(*ps)) for _ in range(2))
-        assert r1.to_json_obj() == r2.to_json_obj()
+def test_enumerate_deterministic_across_worker_counts():
+    # exact search has one worker count, 1; two calls give the same bytes:
+    # value, status, node count and witnesses in the same order
+    assert search.resolve_workers() == 1
+    pat = PatternSpec(2, 2, 0)
+    results = [enumerate_optima((2, 2, 2), pat) for _ in range(2)]
+    baseline = [sorted((u.part, u.index, v.part, v.index) for u, v in w.edges())
+                for w in results[0].witnesses]
+    for r in results[1:]:
+        assert r.value == results[0].value
+        assert baseline == [sorted((u.part, u.index, v.part, v.index)
+                                   for u, v in w.edges()) for w in r.witnesses]
+        assert r.to_json_obj() == results[0].to_json_obj()
+
+
+def test_exact_deterministic_across_worker_counts():
+    # exact search has one worker count, 1; two calls give the same bytes
+    assert search.resolve_workers() == 1
+    pat = PatternSpec(1, 1, 1)
+    r1 = sat_exact((2, 2, 2), pat)
+    r2 = sat_exact((2, 2, 2), pat)
+    assert r1.value == r2.value
+    assert r1.witnesses[0] == r2.witnesses[0]
+    assert r1.to_json_obj() == r2.to_json_obj()
 
 
 _PINNED_NODES = [
