@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import constructions
-from .formulas import FormulaError, evaluate
+from .formulas import evaluate
 from .patterns import PatternSpec
 from .search import enumerate_optima, sat_exact, sat_exhaustive, sat_greedy
 from .serialization import deserialize, serialize
@@ -60,22 +60,16 @@ def _cmd_construct(args) -> int:
     n1, n2, n3 = _parse_triple(args.n, "--n")
     g = constructions.build(args.construction, n1, n2, n3, l=args.l, m=args.m,
                             p=args.p, variant=args.variant, force=args.force)
-    formula_value = ""
-    match = ""
-    try:
-        rec = constructions.formula_for(args.construction, n1, n2, n3,
-                                        l=args.l, m=args.m, p=args.p)
-        formula_value = rec.value
-        match = str(g.num_edges == rec.value).lower()
-    except (FormulaError, constructions.ConstructionError):
-        formula_value, match = "n/a", "n/a"
+    # a successful build meets its formula's preconditions, so this cannot raise
+    rec = constructions.formula_for(args.construction, n1, n2, n3, l=args.l, m=args.m, p=args.p)
     data = serialize(g, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(data)
     else:
         sys.stdout.buffer.write(data)
-    print(f"edges={g.num_edges} formula={formula_value} match={match}", file=sys.stderr)
+    match = str(g.num_edges == rec.value).lower()
+    print(f"edges={g.num_edges} formula={rec.value} match={match}", file=sys.stderr)
     return 0
 
 

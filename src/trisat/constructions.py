@@ -8,15 +8,23 @@ edge lists):
   bounded-degree windows on the residual vertices, and three hub edges
   removed (a triangle of nonedges for 1, a path for 2).
 * ``construction3`` -- K_{l,m,p}-saturated (m > p) in K_{n1,n2,n3}: hubs of
-  size m-1 at the bottom range and residual circulants.
+  size m-1 at the bottom range and cyclic windows on the residual vertices.
 * ``construction4`` / ``construction5`` -- balanced-host variants that
   shave edges by completely joining small hub triangles T_i of size
   floor((l-m)/2).
 * ``construction_c4`` -- the three-star C4-saturated subgraph with exactly
   n1+n2+n3 edges.
 
-Residual circulants join the a-th residual vertex of one class to a cyclic
-window of positions in another, indices reduced via rho(x) = ((x-1) mod N) + 1.
+Every residual comes from one generator, ``_windows(res, w, shift)``, on
+three position ranges of sizes ``res``: position a of part 3 joins the w
+positions from a in parts 1 and 2, and position a of part 2 joins the w
+positions from a + shift in part 1, positions reduced within their range
+via rho(x) = ((x-1) mod N) + 1.  ``_place`` adds such position pairs as
+edges above an index base; hub joins, hub triangles and the C4 stars go
+through it as well.  The families differ only in the residual sizes, the
+base and the shift: w for constructions 1, 2 and 4 (whose residual is
+triangle-free), 0 for constructions 3 and 5.
+
 Generators refuse hosts outside the regimes under which saturation is
 proved.  Those regimes are the hypotheses of the matching closed forms, and
 their size thresholds are stated once, in :mod:`trisat.formulas`;
@@ -29,12 +37,12 @@ form, hub sets -- sits in one table that ``build``, ``pattern_for``,
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .formulas import (BoundRecord, c4_threshold, con1_threshold, con3_threshold,
                        con4_threshold, con5_threshold, f_c4, f_con1_upper,
                        f_con3_upper, f_con4_upper, f_con5_upper, t_of)
-from .graphs import PAIR_ORDER, PARTS, GraphBuilder, TripartiteGraph, VertexRef
+from .graphs import PARTS, GraphBuilder, TripartiteGraph, VertexRef
 from .patterns import PatternSpec
 from .verifier import residual_structure_check
 
@@ -52,34 +60,34 @@ def _cyc(i: int, shift: int) -> int:
     return (i - 1 + shift) % 3 + 1
 
 
-def _ensure_edge(b: GraphBuilder, u: VertexRef, v: VertexRef) -> None:
-    # constructions define edge sets as unions, so re-adding is a no-op
-    if not b.has_edge(u, v):
-        b.add_edge(u, v)
+def _place(b: GraphBuilder, base: int, pairs: Iterable[tuple[int, int, int, int]]) -> None:
+    """Add the position pairs (i, a, j, c) as edges v_i^{base+a} v_j^{base+c};
+    constructions define edge sets as unions, so re-adding is a no-op."""
+    for i, a, j, c in pairs:
+        u, v = VertexRef(i, base + a), VertexRef(j, base + c)
+        if not b.has_edge(u, v):
+            b.add_edge(u, v)
 
 
 def _join_sets(b: GraphBuilder, sets: dict[int, range]) -> None:
     """Completely join each listed vertex set to both other parts."""
     ns = b.part_sizes
-    for i in PARTS:
-        for a in sets.get(i, []):
-            for j in PARTS:
-                if j == i:
-                    continue
-                for c in range(1, ns[j - 1] + 1):
-                    _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
+    _place(b, 0, ((i, a, j, c) for i in PARTS for a in sets.get(i, ()) for j in PARTS
+                  if j != i for c in range(1, ns[j - 1] + 1)))
 
 
-def _residual_circulants(b: GraphBuilder, base: int, w: int) -> None:
-    """Between the residual ranges above ``base`` of parts i < j, join the
-    a-th residual vertex of part j to the cyclic window of w positions
-    starting at a in part i."""
-    res = [n - base for n in b.part_sizes]
-    for i, j in PAIR_ORDER:
-        for a in range(1, res[j - 1] + 1):
-            for off in range(w):
-                pos = _rho(a + off, res[i - 1])
-                _ensure_edge(b, VertexRef(j, base + a), VertexRef(i, base + pos))
+def _windows(res: tuple[int, int, int], w: int,
+             shift: int) -> Iterator[tuple[int, int, int, int]]:
+    """Cyclic windows on position ranges of sizes ``res``: position a of part 3
+    joins the w positions from a in parts 1 and 2, and position a of part 2
+    joins the w positions from a + shift in part 1, all reduced by rho."""
+    for a in range(1, res[2] + 1):
+        for off in range(w):
+            yield 3, a, 1, _rho(a + off, res[0])
+            yield 3, a, 2, _rho(a + off, res[1])
+    for a in range(1, res[1] + 1):
+        for off in range(shift, shift + w):
+            yield 2, a, 1, _rho(a + off, res[0])
 
 
 def _check_regime(var: str, size: int, threshold: Callable[..., int], *args: int,
@@ -110,21 +118,11 @@ def _check_con1_params(l: int, m: int, n1: int, n2: int, n3: int, force: bool) -
 
 def _con1_body(l: int, m: int, n1: int, n2: int, n3: int) -> GraphBuilder:
     """Hub joins plus residual windows, before any edge removal."""
-    b = GraphBuilder((n1, n2, n3))
     ns = (n1, n2, n3)
+    b = GraphBuilder(ns)
     _join_sets(b, {i: _FAMILIES["1"].hubs(ns[i - 1], l, m) for i in PARTS})
-    w = l - m
-    if w > 0:
-        # windows live on the residual index ranges [n_j - m]
-        for a in range(1, n3 - m + 1):
-            for j in (1, 2):
-                nj = ns[j - 1] - m
-                for off in range(w):
-                    _ensure_edge(b, VertexRef(3, a), VertexRef(j, _rho(a + off, nj)))
-        for a in range(1, n2 - m + 1):
-            n1r = n1 - m
-            for off in range(w, 2 * w):
-                _ensure_edge(b, VertexRef(2, a), VertexRef(1, _rho(a + off, n1r)))
+    # the windows live on the residual index ranges [n_j - m]
+    _place(b, 0, _windows((n1 - m, n2 - m, n3 - m), l - m, l - m))
     return b
 
 
@@ -190,7 +188,7 @@ def construction3(l: int, m: int, p: int, n1: int, n2: int, n3: int, *,
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
     _join_sets(b, {i: _FAMILIES["3"].hubs(ns[i - 1], l, m) for i in PARTS})
-    _residual_circulants(b, m - 1, l - m)
+    _place(b, m - 1, _windows((n1 - m + 1, n2 - m + 1, n3 - m + 1), l - m, 0))
     return b.build()
 
 
@@ -201,11 +199,8 @@ def _balanced_body(n: int, s: int, t: int) -> GraphBuilder:
     and triangles T_i = {v_i^{s+1}..v_i^{s+t}} completely joined to each other."""
     b = GraphBuilder((n, n, n))
     _join_sets(b, {i: range(1, s + 1) for i in PARTS})
-    for i in PARTS:
-        j = _cyc(i, 1)
-        for a in range(s + 1, s + t + 1):
-            for c in range(s + 1, s + t + 1):
-                _ensure_edge(b, VertexRef(i, a), VertexRef(j, c))
+    _place(b, s, ((i, a, _cyc(i, 1), c) for i in PARTS for a in range(1, t + 1)
+                  for c in range(1, t + 1)))
     return b
 
 
@@ -216,7 +211,7 @@ def residual_triple_edges(n_res: int, w: int) -> list[tuple[int, int, int, int]]
 
     Two regimes:
 
-    * n_res >= 3w - 1: cyclic windows.  Position a of part 3 joins
+    * n_res >= 3w - 1: the windows with shift w.  Position a of part 3 joins
       positions a..a+w-1 of parts 1 and 2; position a of part 2 joins
       positions a+w..a+2w-1 of part 1.  A triangle needs offsets with
       alpha = beta + gamma (mod n_res) for alpha, beta in [0, w) and
@@ -224,47 +219,26 @@ def residual_triple_edges(n_res: int, w: int) -> list[tuple[int, int, int, int]]
       rules wrapping out.
 
     * n_res even with n_res/2 >= w: halves.  Split every range into a low
-      and a high block; parts 3-1 and 3-2 join matching blocks by a
-      w-regular circulant while part 2-1 joins opposite blocks, so any
+      and a high block and lay the shift-0 windows on each block triple,
+      so parts 3-1 and 3-2 join matching blocks w-regularly, but cross
+      the 2-1 pairs so that part 2-1 joins opposite blocks; then any
       two-edge path from part 3 ends in same-block vertices of parts 1, 2
       that the crossed 2-1 pairing never connects.
 
     Every smaller regime is refused; a pattern-degree w at such a residual
     size is an invalid parameter regime for the balanced construction.
     """
-    edges: list[tuple[int, int, int, int]] = []
-    if w == 0:
-        return []
-    if n_res >= 3 * w - 1:
-        return _window_triple_edges(n_res, w)
+    if w == 0 or n_res >= 3 * w - 1:
+        return list(_windows((n_res,) * 3, w, w))
     half = n_res // 2
     if n_res % 2 == 0 and half >= w:
-        def circulant(i: int, j: int, lo_i: int, lo_j: int) -> None:
-            for a in range(1, half + 1):
-                for off in range(w):
-                    edges.append((i, lo_i + a, j, lo_j + _rho(a + off, half)))
-
-        circulant(3, 1, 0, 0)          # low  block of 3 -> low  block of 1
-        circulant(3, 1, half, half)    # high block of 3 -> high block of 1
-        circulant(3, 2, 0, 0)
-        circulant(3, 2, half, half)
-        circulant(2, 1, 0, half)       # low  block of 2 -> high block of 1
-        circulant(2, 1, half, 0)
-        return edges
+        # two shift-0 triples on the half blocks; the 2-1 pairs cross blocks
+        return [(i, lo + a, j, (hi if i == 2 else lo) + c)
+                for lo, hi in ((0, half), (half, 0))
+                for i, a, j, c in _windows((half,) * 3, w, 0)]
     raise ConstructionError(
         f"no triangle-free residual realization available for residual parts of "
         f"size {n_res} with per-pair degree {w}")
-
-
-def _window_triple_edges(n_res: int, w: int) -> list[tuple[int, int, int, int]]:
-    edges = []
-    for a in range(1, n_res + 1):
-        for off in range(w):
-            edges.append((3, a, 1, _rho(a + off, n_res)))
-            edges.append((3, a, 2, _rho(a + off, n_res)))
-        for off in range(w, 2 * w):
-            edges.append((2, a, 1, _rho(a + off, n_res)))
-    return edges
 
 
 def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteGraph:
@@ -293,7 +267,6 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     b = _balanced_body(n, m, t)
     n_res = n - m - t
     w = l - m
-    base = m + t
     try:
         residual = residual_triple_edges(n_res, w)
     except ConstructionError:
@@ -301,9 +274,8 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
             raise
         # forced experimentation: fall back to the plain windows even
         # though they close a residual triangle at this size
-        residual = _window_triple_edges(n_res, w)
-    for i, a, j, bb in residual:
-        _ensure_edge(b, VertexRef(i, base + a), VertexRef(j, base + bb))
+        residual = _windows((n_res,) * 3, w, w)
+    _place(b, m + t, residual)
     b.remove_edge(VertexRef(1, 1), VertexRef(2, 1))
     b.remove_edge(VertexRef(1, 1), VertexRef(3, 1))
     b.remove_edge(VertexRef(2, 1), VertexRef(3, 1))
@@ -322,8 +294,10 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     """K_{l,m,p}-saturated subgraph of K_{n,n,n} for l >= m > p >= 1.
 
     Hubs S_i of size m-1, triangles T_i of size t = floor((l-m)/2) completely
-    joined to each other, and an (l-m)-regular bipartite circulant between
-    the residual ranges of every part pair.
+    joined to each other, and the shift-0 windows of width l-m on the
+    residual ranges: each residual vertex of part j joins the l-m
+    cyclically next positions from its own in every part i < j, so every
+    part pair carries an (l-m)-regular bipartite graph.
 
     The shape checks already refuse every n below ``con5_threshold(l, m)``,
     so unlike the other families ``force=True`` cannot build below the
@@ -341,7 +315,7 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
         raise ConstructionError(
             f"residual parts of size {n_res} cannot carry an {w}-regular bipartite graph")
     b = _balanced_body(n, m - 1, t)
-    _residual_circulants(b, m - 1 + t, w)
+    _place(b, m - 1 + t, _windows((n_res,) * 3, w, 0))
     return b.build()
 
 
@@ -354,10 +328,8 @@ def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> Tripar
     _check_regime("n3", n3, c4_threshold, force=force)
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
-    for i in PARTS:
-        j = _cyc(i, 1)
-        for c in range(1, ns[j - 1] + 1):
-            _ensure_edge(b, VertexRef(i, 1), VertexRef(j, c))
+    # v_i^1 joins all of part i + 1, which is ns[i % 3]
+    _place(b, 0, ((i, 1, _cyc(i, 1), c) for i in PARTS for c in range(1, ns[i % 3] + 1)))
     return b.build()
 
 

@@ -36,7 +36,6 @@ import json
 from dataclasses import dataclass
 
 from . import constructions
-from .formulas import FormulaError
 from .patterns import PatternSpec
 from .search import sat_exact, sat_greedy
 from .serialization import serialize
@@ -151,12 +150,9 @@ def run_table(spec_obj: object) -> str:
                                     variant=params.get("variant", 1),
                                     force=params.get("force", False))
             row["construction_edges"] = str(g.num_edges)
-            try:
-                rec = constructions.formula_for(which, *host, l=l, m=m, p=p)
-                row["formula_value"] = str(rec.value)
-                row["hypothesis_satisfied"] = str(rec.hypothesis_satisfied).lower()
-            except FormulaError:
-                pass
+            rec = constructions.formula_for(which, *host, l=l, m=m, p=p)
+            row["formula_value"] = str(rec.value)
+            row["hypothesis_satisfied"] = str(rec.hypothesis_satisfied).lower()
             if out_path:
                 with open(out_path, "wb") as fh:
                     fh.write(serialize(g, "edges"))

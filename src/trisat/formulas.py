@@ -9,15 +9,18 @@ certified by a finite check; such records carry ``hypothesis_satisfied =
 False`` plus an explanatory note, never a silent True.
 
 Shape preconditions (orderings, positivity) raise :class:`FormulaError`;
-size thresholds only toggle the hypothesis flag and, for the exact-value
-records, whether the value is claimed as exact, as an upper bound or not
-at all.  The size thresholds of the construction bounds are stated once,
-in the ``*_threshold`` functions, which the constructions also read to
-refuse hosts outside the regime.
+size thresholds only toggle the hypothesis flag and whether the value is
+claimed: a construction's edge count is an upper bound only at or above
+its threshold, and an exact-value record is exact, an upper bound or no
+claim at all; an unclaimed value has kind "reference" and a note.  The
+size thresholds of the construction bounds are stated once, in the
+``*_threshold`` functions, which the constructions also read to refuse
+hosts outside the regime.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 
 
@@ -90,12 +93,12 @@ def f_con1_upper(n1: int, n2: int, n3: int, l: int, m: int) -> BoundRecord:
     if not l >= m >= 1:
         raise FormulaError(f"need l >= m >= 1, got l={l}, m={m}")
     value = 2 * m * (n1 + n2 + n3) + (l - m) * (n2 + 2 * n3) - 3 * l * m - 3
-    hyp = n3 >= con1_threshold(l, m)
+    hyp, kind, note = _construction_claim("n3", n3, con1_threshold(l, m))
     return BoundRecord(
         name="con1_upper",
         params={"n1": n1, "n2": n2, "n3": n3, "l": l, "m": m},
-        value=value, kind="upper", hypothesis_satisfied=hyp,
-        anchor="K_{l,m,m}-saturated hub construction in K_{n1,n2,n3}")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="K_{l,m,m}-saturated hub construction in K_{n1,n2,n3}", note=note)
 
 
 def f_con3_upper(n1: int, n2: int, n3: int, l: int, m: int, p: int) -> BoundRecord:
@@ -105,12 +108,12 @@ def f_con3_upper(n1: int, n2: int, n3: int, l: int, m: int, p: int) -> BoundReco
         raise FormulaError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
     value = (2 * (m - 1) * (n1 + n2 + n3) + (l - m) * (n2 + 2 * n3)
              - 3 * l * (m - 1) + 3 * m - 3)
-    hyp = n3 >= con3_threshold(l)
+    hyp, kind, note = _construction_claim("n3", n3, con3_threshold(l))
     return BoundRecord(
         name="con3_upper",
         params={"n1": n1, "n2": n2, "n3": n3, "l": l, "m": m, "p": p},
-        value=value, kind="upper", hypothesis_satisfied=hyp,
-        anchor="K_{l,m,p}-saturated small-hub construction in K_{n1,n2,n3}")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="K_{l,m,p}-saturated small-hub construction in K_{n1,n2,n3}", note=note)
 
 
 def f_con4_upper(n: int, l: int, m: int) -> BoundRecord:
@@ -121,11 +124,11 @@ def f_con4_upper(n: int, l: int, m: int) -> BoundRecord:
         raise FormulaError(f"need n >= 1, got n={n}")
     t = t_of(l, m)
     value = 3 * (l + m) * n - 3 * (l - m - t) * t - 3 * l * m - 3
-    hyp = n >= con4_threshold(l, m)
+    hyp, kind, note = _construction_claim("n", n, con4_threshold(l, m))
     return BoundRecord(
         name="con4_upper", params={"n": n, "l": l, "m": m},
-        value=value, kind="upper", hypothesis_satisfied=hyp,
-        anchor="K_{l,m,m}-saturated hub-and-triangle construction in K_{n,n,n}")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="K_{l,m,m}-saturated hub-and-triangle construction in K_{n,n,n}", note=note)
 
 
 def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
@@ -136,11 +139,11 @@ def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
         raise FormulaError(f"need n >= 1, got n={n}")
     t = t_of(l, m)
     value = 3 * (l + m - 2) * n - 3 * (m - 1) * (l - 1) + 3 * t * t - 3 * (l - m) * t
-    hyp = n >= con5_threshold(l, m)
+    hyp, kind, note = _construction_claim("n", n, con5_threshold(l, m))
     return BoundRecord(
         name="con5_upper", params={"n": n, "l": l, "m": m, "p": p},
-        value=value, kind="upper", hypothesis_satisfied=hyp,
-        anchor="K_{l,m,p}-saturated hub-and-triangle construction in K_{n,n,n}")
+        value=value, kind=kind, hypothesis_satisfied=hyp,
+        anchor="K_{l,m,p}-saturated hub-and-triangle construction in K_{n,n,n}", note=note)
 
 
 def _sat_claim(hyp: bool, threshold: int, n3: int, regime: int) -> tuple[str, str]:
@@ -153,6 +156,16 @@ def _sat_claim(hyp: bool, threshold: int, n3: int, regime: int) -> tuple[str, st
     if n3 >= regime:
         return "upper", below + "value remains an upper bound"
     return "reference", below + f"no construction is in regime (needs n3 >= {regime})"
+
+
+def _construction_claim(var: str, size: int, threshold: int) -> tuple[bool, str, str]:
+    """Hypothesis flag, kind and note of a construction's edge count: an
+    upper bound on sat only where the construction is saturated (``var`` at
+    least ``threshold``), below that a bare reference value."""
+    if size >= threshold:
+        return True, "upper", ""
+    return False, "reference", (f"below size threshold {var} >= {threshold}; saturation of "
+                                f"the construction is not guaranteed, so no upper bound is claimed")
 
 
 def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
@@ -286,22 +299,11 @@ def f_fjpw(k: int, n: int) -> BoundRecord:
         anchor="Ferrara-Jacobson-Pfender-Wenger multipartite triangle saturation number")
 
 
-# Registry for the CLI: name -> (callable, ordered parameter names).
-FORMULAS = {
-    "con1_upper": (f_con1_upper, ("n1", "n2", "n3", "l", "m")),
-    "con3_upper": (f_con3_upper, ("n1", "n2", "n3", "l", "m", "p")),
-    "con4_upper": (f_con4_upper, ("n", "l", "m")),
-    "con5_upper": (f_con5_upper, ("n", "l", "m", "p")),
-    "sat_lll": (f_sat_lll, ("n1", "n2", "n3", "l")),
-    "sat_lll1": (f_sat_lll1, ("n1", "n2", "n3", "l")),
-    "lll2_lower": (f_lll2_lower, ("n", "l")),
-    "c4": (f_c4, ("n1", "n2", "n3")),
-    "ehm": (f_ehm, ("n", "k")),
-    "bw": (f_bw, ("n1", "n2", "l", "m")),
-    "ms_upper": (f_ms_upper, ("n", "l", "m")),
-    "gks_lower": (f_gks_lower, ("n", "l", "m")),
-    "fjpw": (f_fjpw, ("k", "n")),
-}
+# Registry for the CLI: name (the function name without "f_") -> (callable,
+# ordered parameter names).
+FORMULAS = {fn.__name__[2:]: (fn, tuple(inspect.signature(fn).parameters)) for fn in (
+    f_con1_upper, f_con3_upper, f_con4_upper, f_con5_upper, f_sat_lll, f_sat_lll1,
+    f_lll2_lower, f_c4, f_ehm, f_bw, f_ms_upper, f_gks_lower, f_fjpw)}
 
 
 def evaluate(name: str, params: dict) -> BoundRecord:

@@ -1,5 +1,7 @@
 """Constructions: edge counts vs formulas, saturation, residual structure."""
 
+import hashlib
+
 import pytest
 
 from trisat import (ConstructionError, PatternSpec, construction1,
@@ -7,7 +9,7 @@ from trisat import (ConstructionError, PatternSpec, construction1,
                     construction5, construction_c4, f_con1_upper,
                     f_con3_upper, f_con4_upper, f_con5_upper, hub_sets,
                     host_nonedges, is_saturated, iso_equivalent, new_host,
-                    residual_structure_check, residual_triple_edges)
+                    residual_structure_check, residual_triple_edges, serialize)
 from trisat.constructions import build, formula_for, smallest_guaranteed_n
 
 
@@ -199,6 +201,31 @@ def test_constructions_deterministic():
         b = build(which, kw["n1"], kw["n2"], kw["n3"], l=kw.get("l"),
                   m=kw.get("m"), p=kw.get("p"))
         assert a == b and a.edges() == b.edges()
+
+
+# (which, host, l, m, p, variant, force): every family with force off and on
+# (below its threshold where the shape checks allow), construction 2's three
+# variants, and construction 4 in both residual regimes, halves at
+# (l, m, n) = (3, 1, 6) and windows at (3, 1, 7)
+_PINNED_BUILDS = [
+    ("1", (8, 7, 6), 2, 1, None, 1, False), ("1", (4, 4, 4), 3, 1, None, 1, True),
+    ("2", (7, 6, 5), 3, 2, None, 1, False), ("2", (7, 6, 5), 3, 2, None, 2, False),
+    ("2", (7, 6, 5), 3, 2, None, 3, False), ("2", (5, 4, 4), 2, 1, None, 2, True),
+    ("3", (7, 6, 5), 3, 2, 1, 1, False), ("3", (4, 3, 2), 3, 2, 1, 1, True),
+    ("4", (6, 6, 6), 3, 1, None, 1, False), ("4", (7, 7, 7), 3, 1, None, 1, False),
+    ("4", (5, 5, 5), 3, 1, None, 1, True), ("4", (9, 9, 9), 4, 1, None, 1, True),
+    ("5", (8, 8, 8), 4, 2, 1, 1, False), ("5", (6, 6, 6), 5, 2, 1, 1, True),
+    ("c4", (5, 4, 3), None, None, None, 1, False), ("c4", (1, 1, 1), None, None, None, 1, True),
+]
+
+
+def test_construction_edge_sets_pinned():
+    # the serialized edge sets themselves, where the other tests read only
+    # counts, saturation and repeat determinism
+    digest = hashlib.sha256()
+    for which, host, l, m, p, variant, force in _PINNED_BUILDS:
+        digest.update(serialize(build(which, *host, l=l, m=m, p=p, variant=variant, force=force)))
+    assert digest.hexdigest() == "4651d2bf7fd95f6ef54ef2f47957749e43f518f670231341c36365dd38b3a5c2"
 
 
 def _regime_grid():

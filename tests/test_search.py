@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from trisat import (PatternSpec, SearchError, construction1, construction_c4, enumerate_optima,
-                    f_con1_upper, f_sat_lll, f_sat_lll1, is_saturated, iso_equivalent, new_host,
+                    f_con1_upper, f_con3_upper, f_con4_upper, f_con5_upper, f_sat_lll, f_sat_lll1, is_saturated, iso_equivalent, new_host,
                     sat_exact, sat_exhaustive, sat_greedy)
 from trisat import search
 from trisat.graphs import host_edges, iter_bits
@@ -353,6 +353,39 @@ def test_upper_claims_hold_on_every_small_host():
                     checked.append((host, ps))
     assert checked == [((2, 2, 2), (2, 2, 1)), ((3, 2, 2), (2, 2, 1))]
 
+
+
+def test_construction_upper_claims_hold_on_every_small_host():
+    # a construction's edge count is an upper bound on sat only where the
+    # construction is saturated; below its threshold (f_con1_upper(1,1,1,1,1)
+    # is 0, against sat 2) the record must not claim "upper"; (3, 3, 3) is
+    # the smallest host where constructions 1 and 4 are in regime
+    checked = []
+    for host in _SMALL_HOSTS + [(3, 3, 3)]:
+        balanced = host[0] == host[1] == host[2]
+        for l in (1, 2, 3):
+            for m in range(1, l + 1):
+                records = [(f_con1_upper(*host, l, m), (l, m, m))]
+                if balanced:
+                    records.append((f_con4_upper(host[0], l, m), (l, m, m)))
+                for p in range(1, m):
+                    records.append((f_con3_upper(*host, l, m, p), (l, m, p)))
+                    if balanced:
+                        records.append((f_con5_upper(host[0], l, m, p), (l, m, p)))
+                for rec, ps in records:
+                    if rec.kind == "upper":
+                        assert sat_exact(host, PatternSpec(*ps)).value <= rec.value, (rec, host)
+                        checked.append((rec.name, host, ps))
+    assert checked == [
+        ("con5_upper", (1, 1, 1), (2, 2, 1)), ("con3_upper", (2, 2, 2), (2, 2, 1)),
+        ("con5_upper", (2, 2, 2), (2, 2, 1)), ("con5_upper", (2, 2, 2), (3, 2, 1)),
+        ("con5_upper", (2, 2, 2), (3, 3, 1)), ("con5_upper", (2, 2, 2), (3, 3, 2)),
+        ("con3_upper", (3, 2, 2), (2, 2, 1)), ("con1_upper", (3, 3, 3), (1, 1, 1)),
+        ("con4_upper", (3, 3, 3), (1, 1, 1)), ("con3_upper", (3, 3, 3), (2, 2, 1)),
+        ("con5_upper", (3, 3, 3), (2, 2, 1)), ("con3_upper", (3, 3, 3), (3, 2, 1)),
+        ("con5_upper", (3, 3, 3), (3, 2, 1)), ("con3_upper", (3, 3, 3), (3, 3, 1)),
+        ("con5_upper", (3, 3, 3), (3, 3, 1)), ("con3_upper", (3, 3, 3), (3, 3, 2)),
+        ("con5_upper", (3, 3, 3), (3, 3, 2))]
 
 def _edge_codes(g) -> str:
     # "1123" is the edge v_1^1 ~ v_2^3; all indices here are single digits
