@@ -25,13 +25,16 @@ through it as well.  The families differ only in the residual sizes, the
 base and the shift: w for constructions 1, 2 and 4 (whose residual is
 triangle-free), 0 for constructions 3 and 5.
 
-Generators refuse hosts outside the regimes under which saturation is
-proved.  Those regimes are the hypotheses of the matching closed forms, and
-their size thresholds are stated once, in :mod:`trisat.formulas`;
-``force=True`` builds outside them (the verifier can then judge the
-result).  Everything else stated per family -- builder, pattern, closed
-form, hub sets -- sits in one table that ``build``, ``pattern_for``,
-``formula_for``, ``hub_sets`` and ``smallest_guaranteed_n`` read.
+Every generator is admitted by its family's closed-form record from
+:mod:`trisat.formulas`: parameters the record refuses (non-integers, the
+orderings l >= m (> p) >= 1 and n1 >= n2 >= n3 >= 1) are refused, and so,
+unless ``force=True``, is a host where the record's hypothesis fails --
+the regime under which saturation is proved (the verifier can judge a
+forced result).  The generators themselves check only what building
+needs: that hubs, triangles and windows fit.  Everything else stated per
+family -- builder, pattern, closed form, hub sets -- sits in one table
+that ``build``, ``pattern_for``, ``formula_for``, ``hub_sets`` and
+``smallest_guaranteed_n`` read.
 """
 
 from __future__ import annotations
@@ -39,10 +42,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
-from .formulas import (BoundRecord, c4_threshold, con1_threshold, con3_threshold,
-                       con4_threshold, con5_threshold, f_c4, f_con1_upper,
-                       f_con3_upper, f_con4_upper, f_con5_upper, t_of)
-from .graphs import PARTS, GraphBuilder, TripartiteGraph, VertexRef
+from .formulas import (BoundRecord, FormulaError, c4_threshold, con1_threshold,
+                       con3_threshold, con4_threshold, con5_threshold, f_c4,
+                       f_con1_upper, f_con3_upper, f_con4_upper, f_con5_upper, t_of)
+from .graphs import PARTS, GraphBuilder, TripartiteGraph, VertexRef, exact_int
 from .patterns import PatternSpec
 from .verifier import residual_structure_check
 
@@ -90,34 +93,30 @@ def _windows(res: tuple[int, int, int], w: int,
             yield 2, a, 1, _rho(a + off, res[0])
 
 
-def _check_regime(var: str, size: int, threshold: Callable[..., int], *args: int,
-                  force: bool) -> None:
-    """Refuse a host below the closed form's size threshold unless forced."""
-    bound = threshold(*args)
-    if size < bound and not force:
-        named = f"{threshold.__name__}({', '.join(map(str, args))})"
+def _admit(which: str, ns: tuple[int, int, int], l: int | None, m: int | None,
+           p: int | None, force: bool) -> tuple[int, ...]:
+    """Evaluate the family's closed-form record: refuse what it refuses and,
+    unless forced, a host where its hypothesis fails.  Returns the record's
+    parameters as plain ints, in the formula's parameter order."""
+    try:
+        rec = _FAMILIES[which].formula(ns, l, m, p)
+    except FormulaError as exc:
+        raise ConstructionError(str(exc)) from None
+    if not (rec.hypothesis_satisfied or force):
         raise ConstructionError(
-            f"saturation is guaranteed only for {var} >= {named} = {bound}, got {var}={size} "
-            f"(pass force=True to build anyway)")
+            f"{rec.name} hypothesis fails: {rec.note} (pass force=True to build anyway)")
+    return tuple(rec.params.values())
 
 
 # -- constructions 1 and 2 -----------------------------------------------------
 
-def _check_con1_params(l: int, m: int, n1: int, n2: int, n3: int, force: bool) -> None:
-    if not (l >= m >= 1):
-        raise ConstructionError(f"need l >= m >= 1, got l={l}, m={m}")
-    if not (n1 >= n2 >= n3 >= 1):
-        raise ConstructionError(f"need n1 >= n2 >= n3 >= 1, got ({n1},{n2},{n3})")
+def _con1_body(n1: int, n2: int, n3: int, l: int, m: int) -> GraphBuilder:
+    """Hub joins plus residual windows, before any edge removal."""
     if m > n3:
         raise ConstructionError(f"hubs of size m={m} do not fit in a part of size {n3}")
     if l > m and m >= n3:
         raise ConstructionError(
             f"the residual windows need m < n3, got m={m}, n3={n3}")
-    _check_regime("n3", n3, con1_threshold, l, m, force=force)
-
-
-def _con1_body(l: int, m: int, n1: int, n2: int, n3: int) -> GraphBuilder:
-    """Hub joins plus residual windows, before any edge removal."""
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
     _join_sets(b, {i: _FAMILIES["1"].hubs(ns[i - 1], l, m) for i in PARTS})
@@ -129,8 +128,8 @@ def _con1_body(l: int, m: int, n1: int, n2: int, n3: int) -> GraphBuilder:
 def construction1(l: int, m: int, n1: int, n2: int, n3: int, *,
                   force: bool = False) -> TripartiteGraph:
     """K_{l,m,m}-saturated subgraph with a triangle of hub nonedges."""
-    _check_con1_params(l, m, n1, n2, n3, force)
-    b = _con1_body(l, m, n1, n2, n3)
+    n1, n2, n3, l, m = _admit("1", (n1, n2, n3), l, m, None, force)
+    b = _con1_body(n1, n2, n3, l, m)
     b.remove_edge(VertexRef(1, n1), VertexRef(2, n2))
     b.remove_edge(VertexRef(1, n1), VertexRef(3, n3))
     b.remove_edge(VertexRef(2, n2), VertexRef(3, n3))
@@ -148,9 +147,10 @@ def construction2(variant: int, l: int, m: int, n1: int, n2: int, n3: int, *,
     pair completely joined and the graph is not pattern-free (``force=True``
     builds it regardless, for experimentation).
     """
-    if variant not in PARTS:
-        raise ConstructionError(f"variant must be 1, 2 or 3, got {variant}")
-    _check_con1_params(l, m, n1, n2, n3, force)
+    i = exact_int(variant)
+    if i not in PARTS:
+        raise ConstructionError(f"variant must be 1, 2 or 3, got {variant!r}")
+    n1, n2, n3, l, m = _admit("2", (n1, n2, n3), l, m, None, force)
     if m < 2 and not force:
         raise ConstructionError(
             "the path-removal variant needs m >= 2 (with m = 1 the removed edges "
@@ -158,8 +158,8 @@ def construction2(variant: int, l: int, m: int, n1: int, n2: int, n3: int, *,
     if n3 < 2:
         raise ConstructionError("variant removal needs every part of size >= 2")
     ns = (n1, n2, n3)
-    i, i1, i2 = variant, _cyc(variant, 1), _cyc(variant, 2)
-    b = _con1_body(l, m, n1, n2, n3)
+    i1, i2 = _cyc(i, 1), _cyc(i, 2)
+    b = _con1_body(n1, n2, n3, l, m)
     b.remove_edge(VertexRef(i, ns[i - 1]), VertexRef(i1, ns[i1 - 1]))
     b.remove_edge(VertexRef(i, ns[i - 1] - 1), VertexRef(i2, ns[i2 - 1]))
     b.remove_edge(VertexRef(i1, ns[i1 - 1]), VertexRef(i2, ns[i2 - 1]))
@@ -178,13 +178,9 @@ def construction3(l: int, m: int, p: int, n1: int, n2: int, n3: int, *,
     so residual degrees are exactly l-m on the j side and at most l-m on the
     i side.
     """
-    if not (l >= m > p >= 1):
-        raise ConstructionError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
-    if not (n1 >= n2 >= n3 >= 1):
-        raise ConstructionError(f"need n1 >= n2 >= n3 >= 1, got ({n1},{n2},{n3})")
+    n1, n2, n3, l, m, p = _admit("3", (n1, n2, n3), l, m, p, force)
     if m - 1 > n3:
         raise ConstructionError(f"hub size m-1={m - 1} exceeds the smallest part {n3}")
-    _check_regime("n3", n3, con3_threshold, l, force=force)
     ns = (n1, n2, n3)
     b = GraphBuilder(ns)
     _join_sets(b, {i: _FAMILIES["3"].hubs(ns[i - 1], l, m) for i in PARTS})
@@ -250,18 +246,19 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     vertex has exactly l-m residual neighbours in each other part, and the
     three edges v_1^1 v_2^1, v_1^1 v_3^1, v_2^1 v_3^1 removed.
 
-    After building, :func:`residual_structure_check` re-checks the residual
-    triple for triangle-freeness and exact degrees; a failure signals an
-    invalid parameter regime rather than returning a silently wrong graph.
-    That check still refuses some hosts at ``n = con4_threshold(l, m)``:
-    those where l - m is odd and at least 3 and the residual size
-    n - m - t is odd, e.g. (l, m, n) = (4, 1, 9), since no triangle-free
-    residual triple with every degree l - m exists there.
+    The builder admits exactly the hosts where ``f_con4_upper``'s
+    hypothesis holds, n >= ``con4_threshold(l, m)``.  After building,
+    :func:`residual_structure_check` re-checks the residual triple for
+    triangle-freeness and exact degrees; a failure signals an invalid
+    parameter regime rather than returning a silently wrong graph.  That
+    check still refuses some admitted hosts: those where l - m is odd and
+    at least 3 and the residual size n - m - t is odd, e.g. (l, m, n) =
+    (4, 1, 9), since no triangle-free residual triple with every degree
+    l - m exists there.  A parity condition in the record's hypothesis would
+    therefore change the builder too, with no edit here.
     """
-    if not (l >= m >= 1):
-        raise ConstructionError(f"need l >= m >= 1, got l={l}, m={m}")
+    n, l, m = _admit("4", (n, n, n), l, m, None, force)
     t = t_of(l, m)
-    _check_regime("n", n, con4_threshold, l, m, force=force)
     if n < m + t + 1:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m}) plus triangles ({t})")
     b = _balanced_body(n, m, t)
@@ -299,14 +296,12 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     cyclically next positions from its own in every part i < j, so every
     part pair carries an (l-m)-regular bipartite graph.
 
-    The shape checks already refuse every n below ``con5_threshold(l, m)``,
+    The fit checks already refuse every n below ``con5_threshold(l, m)``,
     so unlike the other families ``force=True`` cannot build below the
     threshold.
     """
-    if not (l >= m > p >= 1):
-        raise ConstructionError(f"need l >= m > p >= 1, got l={l}, m={m}, p={p}")
+    n, l, m, p = _admit("5", (n, n, n), l, m, p, force)
     t = t_of(l, m)
-    _check_regime("n", n, con5_threshold, l, m, force=force)
     if n < (m - 1) + t:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m - 1}) plus triangles ({t})")
     n_res = n - (m - 1) - t
@@ -323,10 +318,7 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
 
 def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> TripartiteGraph:
     """C4-saturated subgraph with edge set {v_i^1 v_{i+1}^j : i in [3], j in [n_{i+1}]}."""
-    if not (n1 >= n2 >= n3 >= 1):
-        raise ConstructionError(f"need n1 >= n2 >= n3 >= 1, got ({n1},{n2},{n3})")
-    _check_regime("n3", n3, c4_threshold, force=force)
-    ns = (n1, n2, n3)
+    ns = _admit("c4", (n1, n2, n3), None, None, None, force)
     b = GraphBuilder(ns)
     # v_i^1 joins all of part i + 1, which is ns[i % 3]
     _place(b, 0, ((i, 1, _cyc(i, 1), c) for i in PARTS for c in range(1, ns[i % 3] + 1)))
@@ -339,7 +331,6 @@ def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> Tripar
 class _Family:
     """Everything stated about one construction family."""
 
-    takes: str  # parameters besides the host: "", "lm" or "lmp"
     builder: Callable[..., TripartiteGraph]  # (ns, l, m, p, variant, force)
     pattern: Callable[..., PatternSpec]  # (l, m, p)
     formula: Callable[..., BoundRecord]  # (ns, l, m, p)
@@ -348,14 +339,15 @@ class _Family:
 
 
 def _balanced(which: str, ns: tuple[int, int, int]) -> int:
-    """The part size n of a balanced host K_{n,n,n}."""
-    if not ns[0] == ns[1] == ns[2]:
+    """The part size n of a balanced host K_{n,n,n}.  Sizes compare as exact
+    ints, so a float or bool equal to n is not n; the record checks n."""
+    if len({exact_int(n) for n in ns}) != 1:
         raise ConstructionError(f"construction {which} needs a balanced host n1 = n2 = n3")
     return ns[0]
 
 
 _CON1 = _Family(
-    "lm", lambda ns, l, m, p, variant, force: construction1(l, m, *ns, force=force),
+    lambda ns, l, m, p, variant, force: construction1(l, m, *ns, force=force),
     lambda l, m, p: PatternSpec(l, m, m), lambda ns, l, m, p: f_con1_upper(*ns, l, m),
     lambda n, l, m: range(n - m + 1, n + 1), con1_threshold)
 
@@ -364,23 +356,23 @@ _FAMILIES = {
     "2": replace(_CON1, builder=lambda ns, l, m, p, variant, force: construction2(
         variant, l, m, *ns, force=force)),
     "3": _Family(
-        "lmp", lambda ns, l, m, p, variant, force: construction3(l, m, p, *ns, force=force),
+        lambda ns, l, m, p, variant, force: construction3(l, m, p, *ns, force=force),
         lambda l, m, p: PatternSpec(l, m, p), lambda ns, l, m, p: f_con3_upper(*ns, l, m, p),
         lambda n, l, m: range(1, m), lambda l, m: con3_threshold(l)),
     "4": _Family(
-        "lm", lambda ns, l, m, p, variant, force: construction4(
+        lambda ns, l, m, p, variant, force: construction4(
             l, m, _balanced("4", ns), force=force),
         lambda l, m, p: PatternSpec(l, m, m),
         lambda ns, l, m, p: f_con4_upper(_balanced("4", ns), l, m),
         lambda n, l, m: range(1, m + t_of(l, m) + 1), con4_threshold),
     "5": _Family(
-        "lmp", lambda ns, l, m, p, variant, force: construction5(
+        lambda ns, l, m, p, variant, force: construction5(
             l, m, p, _balanced("5", ns), force=force),
         lambda l, m, p: PatternSpec(l, m, p),
         lambda ns, l, m, p: f_con5_upper(_balanced("5", ns), l, m, p),
         lambda n, l, m: range(1, m + t_of(l, m)), con5_threshold),
     "c4": _Family(
-        "", lambda ns, l, m, p, variant, force: construction_c4(*ns, force=force),
+        lambda ns, l, m, p, variant, force: construction_c4(*ns, force=force),
         lambda l, m, p: PatternSpec(2, 2, 0), lambda ns, l, m, p: f_c4(*ns),
         lambda n, l, m: range(1, 2), lambda l, m: c4_threshold()),
 }
@@ -416,17 +408,14 @@ def build(which: str, n1: int, n2: int, n3: int, l: int | None = None,
           m: int | None = None, p: int | None = None, variant: int = 1, *,
           force: bool = False) -> TripartiteGraph:
     """Dispatch a construction by name ('1'..'5' or 'c4')."""
-    fam = _family(which)
-    if fam.takes and (l is None or m is None):
-        raise ConstructionError(f"construction {which} needs parameters l and m")
-    if fam.takes == "lmp" and p is None:
-        raise ConstructionError(f"construction {which} needs parameter p")
-    return fam.builder((n1, n2, n3), l, m, p, variant, force)
+    return _family(which).builder((n1, n2, n3), l, m, p, variant, force)
 
 
 def smallest_guaranteed_n(which: str, l: int | None = None, m: int | None = None,
                           p: int | None = None) -> int:
-    """Smallest balanced host size for which saturation is guaranteed.
+    """Smallest balanced host size for which saturation is guaranteed: the
+    size threshold of the family record's hypothesis, from which on the
+    builder admits K_{n,n,n} without ``force=True``.
 
     Construction 4 still refuses some hosts at this size: when l - m is odd
     and at least 3 and the residual size is odd, e.g. (l, m, n) = (4, 1, 9);

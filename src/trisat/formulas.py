@@ -8,24 +8,30 @@ literally.  An asymptotic "n sufficiently large" hypothesis can never be
 certified by a finite check; such records carry ``hypothesis_satisfied =
 False`` plus an explanatory note, never a silent True.
 
-Shape preconditions (orderings, positivity) raise :class:`FormulaError`;
+Every parameter must be an integer (numpy integers included, bools not)
+and is stored as a plain ``int``.  A non-integer parameter or a failed
+shape precondition (orderings, positivity) raises :class:`FormulaError`;
 size thresholds only toggle the hypothesis flag and whether the value is
 claimed: a construction's edge count is an upper bound only at or above
 its threshold, and an exact-value record is exact, an upper bound or no
 claim at all; an unclaimed value has kind "reference" and a note.  The
 size thresholds of the construction bounds are stated once, in the
-``*_threshold`` functions, which the constructions also read to refuse
-hosts outside the regime.
+``*_threshold`` functions.  The construction records are also the
+constructions' admission checks: :mod:`trisat.constructions` refuses what
+the record refuses and, unless forced, a host where its hypothesis fails.
 """
 
 from __future__ import annotations
 
+import functools
 import inspect
 from dataclasses import dataclass
 
+from .graphs import exact_int
+
 
 class FormulaError(ValueError):
-    """Arguments outside a formula's shape preconditions."""
+    """A non-integer argument, or one outside a formula's shape preconditions."""
 
 
 @dataclass(frozen=True)
@@ -50,6 +56,23 @@ class BoundRecord:
             "anchor": self.anchor,
             "note": self.note,
         }
+
+
+def _integer_params(fn):
+    """Check every parameter of the closed form ``fn`` with :func:`exact_int`
+    and call it with plain ints, so values and params are exact integers."""
+    sig = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        params = sig.bind(*args, **kwargs).arguments
+        for name, x in params.items():
+            params[name] = exact_int(x)
+            if params[name] is None:
+                raise FormulaError(f"{fn.__name__[2:]}: parameter {name} must be an integer, "
+                                   f"got {x!r}")
+        return fn(**params)
+    return checked
 
 
 def _check_host_order(n1: int, n2: int, n3: int) -> None:
@@ -87,6 +110,7 @@ def c4_threshold() -> int:
     return 2
 
 
+@_integer_params
 def f_con1_upper(n1: int, n2: int, n3: int, l: int, m: int) -> BoundRecord:
     """Edge count of the hub construction for K_{l,m,m}, an upper bound on sat."""
     _check_host_order(n1, n2, n3)
@@ -101,6 +125,7 @@ def f_con1_upper(n1: int, n2: int, n3: int, l: int, m: int) -> BoundRecord:
         anchor="K_{l,m,m}-saturated hub construction in K_{n1,n2,n3}", note=note)
 
 
+@_integer_params
 def f_con3_upper(n1: int, n2: int, n3: int, l: int, m: int, p: int) -> BoundRecord:
     """Edge count of the small-hub construction for K_{l,m,p}, m > p."""
     _check_host_order(n1, n2, n3)
@@ -116,6 +141,7 @@ def f_con3_upper(n1: int, n2: int, n3: int, l: int, m: int, p: int) -> BoundReco
         anchor="K_{l,m,p}-saturated small-hub construction in K_{n1,n2,n3}", note=note)
 
 
+@_integer_params
 def f_con4_upper(n: int, l: int, m: int) -> BoundRecord:
     """Edge count of the balanced-host construction for K_{l,m,m}."""
     if not l >= m >= 1:
@@ -131,6 +157,7 @@ def f_con4_upper(n: int, l: int, m: int) -> BoundRecord:
         anchor="K_{l,m,m}-saturated hub-and-triangle construction in K_{n,n,n}", note=note)
 
 
+@_integer_params
 def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
     """Edge count of the balanced-host construction for K_{l,m,p}, m > p."""
     if not (l >= m > p >= 1):
@@ -168,6 +195,7 @@ def _construction_claim(var: str, size: int, threshold: int) -> tuple[bool, str,
                                 f"the construction is not guaranteed, so no upper bound is claimed")
 
 
+@_integer_params
 def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     """Exact saturation number of K_{l,l,l} in K_{n1,n2,n3} for large parts.
 
@@ -188,6 +216,7 @@ def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
         anchor="saturation number of the balanced pattern K_{l,l,l}", note=note)
 
 
+@_integer_params
 def f_sat_lll1(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     """Exact saturation number of K_{l,l,l-1} in K_{n1,n2,n3} for large parts.
 
@@ -209,6 +238,7 @@ def f_sat_lll1(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
         anchor="saturation number of the near-balanced pattern K_{l,l,l-1}", note=note)
 
 
+@_integer_params
 def f_lll2_lower(n: int, l: int) -> BoundRecord:
     """Lower bound 6(l-1)n - (72 l^2 - 40 l + 54) for K_{l,l,l-2} in K_{n,n,n}.
 
@@ -227,17 +257,21 @@ def f_lll2_lower(n: int, l: int) -> BoundRecord:
         note="valid for n sufficiently large; an asymptotic hypothesis is never certified at finite n")
 
 
+@_integer_params
 def f_c4(n1: int, n2: int, n3: int) -> BoundRecord:
     """Exact saturation number n1 + n2 + n3 of the four-cycle C4 = K_{2,2}."""
     _check_host_order(n1, n2, n3)
+    hyp = n3 >= c4_threshold()
     return BoundRecord(
         name="c4", params={"n1": n1, "n2": n2, "n3": n3},
-        value=n1 + n2 + n3, kind="exact", hypothesis_satisfied=n3 >= c4_threshold(),
-        anchor="saturation number of C4 in K_{n1,n2,n3}")
+        value=n1 + n2 + n3, kind="exact", hypothesis_satisfied=hyp,
+        anchor="saturation number of C4 in K_{n1,n2,n3}",
+        note="" if hyp else f"below size threshold n3 >= {c4_threshold()}")
 
 
 # -- reference values from the classical literature ---------------------------
 
+@_integer_params
 def f_ehm(n: int, k: int) -> BoundRecord:
     """Erdos-Hajnal-Moon: sat(n, K_k) = (k-2) n - C(k-1, 2)."""
     if k < 2 or n < 1:
@@ -249,6 +283,7 @@ def f_ehm(n: int, k: int) -> BoundRecord:
         anchor="Erdos-Hajnal-Moon clique saturation number")
 
 
+@_integer_params
 def f_bw(n1: int, n2: int, l: int, m: int) -> BoundRecord:
     """Bollobas-Wessel: ordered bipartite-in-bipartite saturation number."""
     if n1 < 1 or n2 < 1:
@@ -261,6 +296,7 @@ def f_bw(n1: int, n2: int, l: int, m: int) -> BoundRecord:
         anchor="Bollobas-Wessel ordered bipartite saturation number")
 
 
+@_integer_params
 def f_ms_upper(n: int, l: int, m: int) -> BoundRecord:
     """Moshkovitz-Shapira upper bound (l+m-2) n - floor(((l+m-2)/2)^2)."""
     if l < 1 or m < 1 or n < 1:
@@ -273,6 +309,7 @@ def f_ms_upper(n: int, l: int, m: int) -> BoundRecord:
         anchor="Moshkovitz-Shapira bipartite-host upper bound")
 
 
+@_integer_params
 def f_gks_lower(n: int, l: int, m: int) -> BoundRecord:
     """Gan-Korandi-Sudakov lower bound (l+m-2) n - (l+m-2)^2."""
     if l < 1 or m < 1 or n < 1:
@@ -285,6 +322,7 @@ def f_gks_lower(n: int, l: int, m: int) -> BoundRecord:
         anchor="Gan-Korandi-Sudakov bipartite-host lower bound")
 
 
+@_integer_params
 def f_fjpw(k: int, n: int) -> BoundRecord:
     """Ferrara-Jacobson-Pfender-Wenger triangle saturation in balanced k-partite hosts.
 

@@ -2,6 +2,7 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from trisat import (ConstructionError, PatternSpec, construction1,
@@ -270,3 +271,50 @@ def test_smallest_guaranteed_n_values():
                 build(which, *below, l=l, m=m, p=p, force=True)
         else:
             assert build(which, *below, l=l, m=m, p=p, force=True).num_edges > 0
+
+
+def test_builders_refuse_non_integer_parameters():
+    # the family's record refuses the parameter, so no builder reaches a
+    # TypeError or builds from a bool, a float or a missing value
+    with pytest.raises(ConstructionError, match="parameter l must be an integer"):
+        construction1(True, True, 5, 5, 5)
+    for which, host, l, m, p, variant, force in _PINNED_BUILDS:
+        if force:
+            continue
+        args = dict(zip(("n1", "n2", "n3"), host), l=l, m=m, p=p, variant=variant)
+        slots = [k for k, v in args.items() if v is not None
+                 and (k != "variant" or which == "2")]
+        for slot in slots:
+            for bad in (True, float(args[slot]), None):
+                with pytest.raises(ConstructionError):
+                    build(which, **dict(args, **{slot: bad}))
+
+
+def test_numpy_integer_parameters_build_same_bytes():
+    for which, host, l, m, p, variant, force in _PINNED_BUILDS:
+        as_np = [None if x is None else np.int64(x) for x in (*host, l, m, p, variant)]
+        n1, n2, n3, nl, nm, np_, nv = as_np
+        assert (serialize(build(which, n1, n2, n3, l=nl, m=nm, p=np_, variant=nv, force=force))
+                == serialize(build(which, *host, l=l, m=m, p=p, variant=variant, force=force)))
+
+
+def test_builders_refuse_where_record_hypothesis_fails():
+    # on unbalanced hosts around each threshold the builder admits exactly
+    # the hosts where the family's record holds its hypothesis
+    for which, l, m, p in _regime_grid():
+        n = smallest_guaranteed_n(which, l, m, p)
+        for n3 in range(max(1, n - 1), n + 2):
+            host = (n3 + 2, n3 + 1, n3)
+            try:
+                rec = formula_for(which, *host, l=l, m=m, p=p)
+            except ConstructionError:
+                # constructions 4 and 5 need a balanced host
+                assert which in ("4", "5")
+                with pytest.raises(ConstructionError, match="balanced"):
+                    build(which, *host, l=l, m=m, p=p)
+                continue
+            if rec.hypothesis_satisfied:
+                assert build(which, *host, l=l, m=m, p=p).num_edges == rec.value
+            else:
+                with pytest.raises(ConstructionError, match=f"{rec.name} .*force=True"):
+                    build(which, *host, l=l, m=m, p=p)

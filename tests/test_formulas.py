@@ -1,13 +1,15 @@
 """Formulas: frozen values, hypothesis flags, cross-formula identities."""
 
+import json
 import random
 
+import numpy as np
 import pytest
 
 from trisat import (FormulaError, f_bw, f_c4, f_con1_upper, f_con3_upper,
                     f_con4_upper, f_con5_upper, f_ehm, f_fjpw, f_gks_lower,
                     f_lll2_lower, f_ms_upper, f_sat_lll, f_sat_lll1)
-from trisat.formulas import evaluate
+from trisat.formulas import FORMULAS, evaluate
 
 
 def test_con1_upper_values():
@@ -77,6 +79,8 @@ def test_c4_values():
     assert f_c4(2, 2, 2).value == 6 and f_c4(2, 2, 2).kind == "exact"
     assert f_c4(3, 2, 2).value == 7
     assert not f_c4(2, 2, 1).hypothesis_satisfied
+    assert f_c4(2, 2, 1).note == "below size threshold n3 >= 2"
+    assert f_c4(2, 2, 2).note == ""
 
 
 def test_reference_values():
@@ -140,3 +144,40 @@ def test_registry_evaluate():
         evaluate("sat_lll", {"n1": 1, "n2": 1, "n3": 1})  # missing l
     with pytest.raises(FormulaError):
         evaluate("nope", {})
+
+
+# one parameter set per registered formula that every shape check accepts
+_VALID = {
+    "con1_upper": dict(n1=7, n2=6, n3=6, l=2, m=1),
+    "con3_upper": dict(n1=7, n2=6, n3=5, l=3, m=2, p=1),
+    "con4_upper": dict(n=12, l=3, m=1),
+    "con5_upper": dict(n=8, l=4, m=2, p=1),
+    "sat_lll": dict(n1=5, n2=5, n3=5, l=2),
+    "sat_lll1": dict(n1=5, n2=5, n3=5, l=2),
+    "lll2_lower": dict(n=100, l=3),
+    "c4": dict(n1=3, n2=2, n3=2),
+    "ehm": dict(n=10, k=3),
+    "bw": dict(n1=5, n2=5, l=2, m=2),
+    "ms_upper": dict(n=10, l=2, m=3),
+    "gks_lower": dict(n=10, l=2, m=3),
+    "fjpw": dict(k=3, n=200),
+}
+
+
+@pytest.mark.parametrize(("name", "slot"), [(name, slot) for name, (_, slots) in FORMULAS.items()
+                                            for slot in slots])
+def test_formula_parameters_must_be_integers(name, slot):
+    fn = FORMULAS[name][0]
+    fn(**_VALID[name])
+    for bad in (2.0, True, "3", None):
+        with pytest.raises(FormulaError, match=f"parameter {slot} must be an integer"):
+            fn(**dict(_VALID[name], **{slot: bad}))
+
+
+@pytest.mark.parametrize("name", sorted(FORMULAS))
+def test_formula_numpy_integers_give_plain_int_params(name):
+    fn = FORMULAS[name][0]
+    rec = fn(**{k: np.int64(v) for k, v in _VALID[name].items()})
+    assert rec == fn(**_VALID[name])
+    assert all(type(v) is int for v in rec.params.values()) and type(rec.value) is int
+    assert json.loads(json.dumps(rec.to_json_obj())) == rec.to_json_obj()
