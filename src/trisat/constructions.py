@@ -388,8 +388,27 @@ def _family(which: str) -> _Family:
 
 def hub_sets(which: str, l: int | None, m: int | None,
              sizes: tuple[int, int, int]) -> list[set[int]]:
-    """Indices of the hub vertices (S_i plus T_i where present) per part."""
-    return [set(_family(which).hubs(n, l, m)) for n in sizes]
+    """Indices of the hub vertices (S_i plus T_i where present) per part.
+
+    l and m must be integers with l >= m >= 1 (construction c4 reads
+    neither), the sizes three positive integers, and every hub index must
+    fall within its part.
+    """
+    family = _family(which)
+    if which != "c4":
+        lm = exact_int(l), exact_int(m)
+        if None in lm or not lm[0] >= lm[1] >= 1:
+            raise ConstructionError(f"hub sets need integers l >= m >= 1, got l={l!r}, m={m!r}")
+        l, m = lm
+    ns = tuple(exact_int(n) for n in sizes)
+    if len(ns) != 3 or any(n is None or n < 1 for n in ns):
+        raise ConstructionError(f"part sizes must be three positive integers, got {sizes!r}")
+    hubs = [family.hubs(n, l, m) for n in ns]
+    for n, hs in zip(ns, hubs):
+        if hs and (hs[0] < 1 or hs[-1] > n):
+            raise ConstructionError(
+                f"construction {which} hubs {hs[0]}..{hs[-1]} fall outside a part of size {n}")
+    return [set(hs) for hs in hubs]
 
 
 def pattern_for(which: str, l: int | None = None, m: int | None = None,

@@ -173,14 +173,15 @@ def f_con5_upper(n: int, l: int, m: int, p: int) -> BoundRecord:
         anchor="K_{l,m,p}-saturated hub-and-triangle construction in K_{n,n,n}", note=note)
 
 
-def _sat_claim(hyp: bool, threshold: int, n3: int, regime: int) -> tuple[str, str]:
+def _sat_claim(hyp: bool, threshold: int, con: BoundRecord, regime: int) -> tuple[str, str]:
     """Kind and note of an exact-value record: exact at the size threshold,
-    else an upper bound only where the construction attaining the value is
-    saturated (n3 >= ``regime``), else no claim."""
+    else an upper bound only where ``con``, the record of the construction
+    attaining the value, holds its hypothesis (n3 >= ``regime``), else no
+    claim."""
     if hyp:
         return "exact", ""
     below = f"below size threshold n3 >= {threshold}; "
-    if n3 >= regime:
+    if con.hypothesis_satisfied:
         return "upper", below + "value remains an upper bound"
     return "reference", below + f"no construction is in regime (needs n3 >= {regime})"
 
@@ -199,20 +200,22 @@ def _construction_claim(var: str, size: int, threshold: int) -> tuple[bool, str,
 def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     """Exact saturation number of K_{l,l,l} in K_{n1,n2,n3} for large parts.
 
-    Exact once n3 >= 32 l^3 + 40 l^2 + 11 l.  Below that the value is the
-    hub construction's edge count, an upper bound once n3 >=
-    ``con1_threshold(l, l)``, and a bare reference value below that.
+    Exact once n3 >= 32 l^3 + 40 l^2 + 11 l.  The value is the hub
+    construction's edge count ``f_con1_upper(n1, n2, n3, l, l)``; below the
+    exact threshold it is an upper bound where that record's hypothesis
+    holds, n3 >= ``con1_threshold(l, l)``, and a bare reference value
+    elsewhere.
     """
     _check_host_order(n1, n2, n3)
     if l < 1:
         raise FormulaError(f"need l >= 1, got {l}")
-    value = 2 * l * (n1 + n2 + n3) - 3 * l * l - 3
+    con = f_con1_upper(n1, n2, n3, l, l)
     threshold = 32 * l**3 + 40 * l**2 + 11 * l
     hyp = n3 >= threshold
-    kind, note = _sat_claim(hyp, threshold, n3, con1_threshold(l, l))
+    kind, note = _sat_claim(hyp, threshold, con, con1_threshold(l, l))
     return BoundRecord(
         name="sat_lll", params={"n1": n1, "n2": n2, "n3": n3, "l": l},
-        value=value, kind=kind, hypothesis_satisfied=hyp,
+        value=con.value, kind=kind, hypothesis_satisfied=hyp,
         anchor="saturation number of the balanced pattern K_{l,l,l}", note=note)
 
 
@@ -220,21 +223,23 @@ def f_sat_lll(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
 def f_sat_lll1(n1: int, n2: int, n3: int, l: int) -> BoundRecord:
     """Exact saturation number of K_{l,l,l-1} in K_{n1,n2,n3} for large parts.
 
-    Exact once n3 >= 32 k^3 + 40 k^2 + 11 k with k = l - 1.  Below that the
-    value is the small-hub construction's edge count, an upper bound once
-    n3 >= ``con3_threshold(l)``, and a bare reference value below that.
+    Exact once n3 >= 32 k^3 + 40 k^2 + 11 k with k = l - 1.  The value is
+    the small-hub construction's edge count ``f_con3_upper(n1, n2, n3, l, l,
+    l - 1)``; below the exact threshold it is an upper bound where that
+    record's hypothesis holds, n3 >= ``con3_threshold(l)``, and a bare
+    reference value elsewhere.
     """
     _check_host_order(n1, n2, n3)
     if l < 2:
         raise FormulaError(f"pattern K_(l,l,l-1) needs l >= 2, got {l}")
+    con = f_con3_upper(n1, n2, n3, l, l, l - 1)
     k = l - 1
-    value = 2 * k * (n1 + n2 + n3) - 3 * k * k
     threshold = 32 * k**3 + 40 * k**2 + 11 * k
     hyp = n3 >= threshold
-    kind, note = _sat_claim(hyp, threshold, n3, con3_threshold(l))
+    kind, note = _sat_claim(hyp, threshold, con, con3_threshold(l))
     return BoundRecord(
         name="sat_lll1", params={"n1": n1, "n2": n2, "n3": n3, "l": l},
-        value=value, kind=kind, hypothesis_satisfied=hyp,
+        value=con.value, kind=kind, hypothesis_satisfied=hyp,
         anchor="saturation number of the near-balanced pattern K_{l,l,l-1}", note=note)
 
 

@@ -21,8 +21,9 @@ member of every orbit first and that member satisfies every predicate, so
 values, witnesses and optimum classes are those of the search without the
 predicates; only ``nodes_explored`` shrinks.
 
-:func:`sat_exhaustive` iterates all 2^|E(host)| subgraphs with vectorized
-mask tests and is the independent oracle for ``sat_exact``.
+:func:`sat_exhaustive` tests all 2^|E(host)| subgraphs at once as
+bit-sliced truth tables (bit s of a 2^|E|-bit integer is the subgraph with
+edge mask s) and is the independent oracle for ``sat_exact``.
 :func:`enumerate_optima` collects every optimum up to part-respecting
 isomorphism.  :func:`sat_greedy` draws seeded random edge permutations and
 keeps each edge iff the graph stays pattern-free; the scan ends in a
@@ -34,8 +35,6 @@ from __future__ import annotations
 import itertools
 import sys
 from dataclasses import dataclass
-
-import numpy as np
 
 from .containment import _layouts, contains_after
 from .graphs import (GraphBuilder, TripartiteGraph, VertexRef, exact_int, host_edges,
@@ -341,7 +340,9 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
 
     A subgraph is saturated iff no embedding mask is contained in it and,
     for every absent host edge e, some embedding through e needs only e.
-    Guarded to hosts with at most 16 edges.
+    The scan is bit-sliced: bit s of a 2^|E|-bit truth table stands for
+    the subgraph with edge mask s, so each test is one big-integer AND or
+    OR over all subgraphs at once.  Guarded to hosts with at most 16 edges.
     """
     sizes = _check_host_sizes(host_sizes)
     edges = host_edges(sizes)
@@ -350,28 +351,34 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
         raise SearchError(f"sat_exhaustive guard: host has {n_edges} > 16 edges")
     embeds = pattern_edge_masks(sizes, pat)
     total = 1 << n_edges
-    masks = np.arange(total, dtype=np.uint32)
-    free = np.ones(total, dtype=bool)
-    for em in embeds:
-        em32 = np.uint32(em)
-        free &= (masks & em32) != em32
-    sat = free.copy()
+    full = (1 << total) - 1
+    # cols[e]: the subgraphs that contain edge e; by_size[k]: those with k
+    # edges.  Both double in width one edge at a time.
+    cols: list[int] = []
+    by_size = [1]
     for e in range(n_edges):
-        bit = np.uint32(1 << e)
-        has = (masks & bit) != 0
-        rests = [np.uint32(em & ~(1 << e)) for em in embeds if (em >> e) & 1]
-        if rests:
-            comp = np.zeros(total, dtype=bool)
-            for r in rests:
-                comp |= (masks & r) == r
-            sat &= has | comp
-        else:
-            sat &= has
-    counts = np.bitwise_count(masks)
-    hits = np.nonzero(sat)[0]
-    value = int(counts[hits].min())
-    winners = hits[counts[hits] == value]
-    witnesses = [_mask_to_graph(sizes, edges, int(m)) for m in winners]
+        width = 1 << e
+        cols = [c | c << width for c in cols] + [((1 << width) - 1) << width]
+        by_size = [a | b << width for a, b in zip(by_size + [0], [0] + by_size)]
+
+    def holding(mask: int) -> int:
+        """The subgraphs that contain every edge of mask."""
+        table = full
+        for k in iter_bits(mask):
+            table &= cols[k - 1]
+        return table
+
+    sat = full
+    for em in embeds:
+        sat &= ~holding(em)
+    for e in range(n_edges):
+        completed = cols[e]
+        for em in embeds:
+            if (em >> e) & 1:
+                completed |= holding(em & ~(1 << e))
+        sat &= completed
+    value, table = next((k, t & sat) for k, t in enumerate(by_size) if t & sat)
+    witnesses = [_mask_to_graph(sizes, edges, s - 1) for s in iter_bits(table)]
     return SearchResult(value=value, witnesses=witnesses, nodes_explored=total,
                         method="exhaustive")
 

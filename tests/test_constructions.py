@@ -183,6 +183,29 @@ def test_construction5_residual_regular_per_pair():
     # triangle-freeness is not part of this construction's contract
 
 
+@pytest.mark.parametrize("which, l, m, sizes", [
+    ("3", 2.0, 2.5, (5, 5, 5)),  # not integers
+    ("1", None, 1, (5, 5, 5)),
+    ("4", True, 1, (5, 5, 5)),  # a bool is not an integer
+    ("1", 1, 3, (5, 5, 5)),  # l < m
+    ("2", 1, 0, (5, 5, 5)),  # m < 1
+    ("1", 1, 1, (5, 5, 0)),  # sizes not positive
+    ("c4", None, None, (5, 5)),
+    ("5", 3, 2, (5, 5, 2.0)),
+    ("1", 5, 5, (3, 3, 3)),  # hub indices -1..3
+    ("3", 5, 5, (3, 3, 3)),  # hub indices 1..4
+    ("4", 6, 2, (3, 3, 3)),  # hubs plus triangles 1..4
+])
+def test_hub_sets_refuse_invalid_parameters(which, l, m, sizes):
+    with pytest.raises(ConstructionError):
+        hub_sets(which, l, m, sizes)
+
+
+def test_hub_sets_accept_integers_and_ignore_c4_parameters():
+    assert hub_sets("1", np.int64(2), 1, (5, 4, np.int64(3))) == [{5}, {4}, {3}]
+    assert hub_sets("c4", None, None, (2, 2, 1)) == [{1}, {1}, {1}]
+
+
 def test_construction_c4_star_shape():
     g = construction_c4(2, 2, 2)
     assert g.num_edges == 6

@@ -1,5 +1,6 @@
 """Search: exact vs exhaustive oracle, witnesses, greedy soundness, budgets."""
 
+import hashlib
 import json
 import os
 import random
@@ -275,12 +276,13 @@ def test_enumerate_triangle_witnesses_all_certified():
 
 
 def test_import_does_not_load_the_process_pool():
-    # exact search runs in one process, so nothing imports the pool
+    # exact search runs in one process, so nothing imports the pool; the
+    # package has no runtime dependency, so nothing imports numpy either
     src = os.path.dirname(os.path.dirname(search.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, trisat; print(sorted(m for m in "
-            "('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+            "('multiprocessing', 'concurrent.futures.process', 'numpy') if m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
@@ -336,6 +338,20 @@ def test_exact_matches_exhaustive_on_every_small_host():
             named = sorted(next((k for k, c in enumerate(classes) if iso_equivalent(w, c)),
                                 -1) for w in opt.witnesses)
             assert named == list(range(len(classes))), case
+
+
+_ORACLE_PATTERNS = [(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 0), (1, 1, 0), (3, 1, 1), (2, 2, 2),
+                    (3, 2, 1), (3, 1, 0), (3, 2, 0), (2, 1, 0)]
+
+
+def test_exhaustive_outputs_pinned_on_every_small_host():
+    # values, node counts and every witness in scan order, pinned by digest
+    # over the canonical JSON of all 143 results
+    objs = [sat_exhaustive(host, PatternSpec(*ps)).to_json_obj()
+            for host in _SMALL_HOSTS for ps in _ORACLE_PATTERNS]
+    blob = json.dumps(objs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "ab28819a2e72efd521e8c8a420c3c4425141c1b2aed019254e1c1e75375c2555")
 
 
 def test_upper_claims_hold_on_every_small_host():
