@@ -17,7 +17,7 @@ from . import constructions
 from .formulas import evaluate
 from .patterns import PatternSpec
 from .search import enumerate_optima, sat_exact, sat_exhaustive, sat_greedy
-from .serialization import deserialize, serialize
+from .serialization import decimal_ints, deserialize, serialize
 from .verifier import is_saturated
 
 
@@ -27,11 +27,11 @@ class _CliError(Exception):
 
 def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
     try:
-        vals = tuple(int(x) for x in text.split(","))
+        vals = tuple(decimal_ints([x.strip() for x in text.split(",")]))
     except ValueError:
-        raise _CliError(f"{what} must be three comma-separated integers, got {text!r}") from None
+        vals = ()
     if len(vals) != 3:
-        raise _CliError(f"{what} must be three comma-separated integers, got {text!r}")
+        raise _CliError(f"{what} must be three comma-separated decimal integers, got {text!r}")
     return vals
 
 
@@ -44,9 +44,9 @@ def _parse_params(text: str) -> dict:
             raise _CliError(f"expected k=v, got {item!r}")
         key, val = item.split("=", 1)
         try:
-            out[key.strip()] = int(val)
+            out[key.strip()] = decimal_ints([val.strip()])[0]
         except ValueError:
-            raise _CliError(f"parameter {key!r} must be an integer, got {val!r}") from None
+            raise _CliError(f"parameter {key!r} must be a decimal integer, got {val!r}") from None
     return out
 
 
@@ -86,6 +86,8 @@ def _cmd_verify(args) -> int:
 def _cmd_sat(args) -> int:
     host = _parse_triple(args.host, "--host")
     pat = PatternSpec(*_parse_triple(args.pattern, "--pattern"))
+    if args.budget is not None and args.method != "exact":
+        raise _CliError(f"--budget applies only to --method exact, not {args.method}")
     if args.method == "exhaustive":
         result = sat_exhaustive(host, pat)
     elif args.method == "exact":

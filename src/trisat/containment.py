@@ -23,20 +23,23 @@ Classes are filled in a fixed order and members picked from set bits in
 ascending order, each pick narrowing the masks of the classes still to
 fill, so a layout yields its lexicographically first embedding.
 
-Every search runs through one decision core, ``_decide``, which returns
-the chosen class masks of the first embedding, or None.  Only
-:func:`contains` and :func:`contains_after` turn the masks into an
-:class:`Embedding`, reading each vertex from the per-layout tables cached
-with the layouts.  The verifier asks one question per host nonedge of a
-pattern-free graph, whether adding it completes a copy, and
-``_uncompleted`` answers all of them in one sweep by endpoint: it reads
-the nonedges from g's rows as runs that share the first endpoint u and the
-part of v, and per run and layout the classes are narrowed by u's row
-once, then by each v's row, and filled.  Its rows come from a table built
-once per sweep, each vertex's rows onto every class of every layout.  The
-sweep and the per-call search share the fill recursion ``_fill``, so they
-answer every nonedge alike; the verifier still re-confirms each violation
-through :func:`contains_after`.
+:func:`contains` and :func:`contains_after` run through one decision
+core, ``_decide``, which returns the chosen class masks of the first
+embedding, or None; only they turn the masks into an :class:`Embedding`,
+reading each vertex from the per-layout tables cached with the layouts.
+The verifier asks one question per host nonedge of a pattern-free graph,
+whether adding it completes a copy, and
+``_uncompleted`` answers all of them in one sweep: it reads the nonedges
+from g's rows as runs that share the first endpoint u and the part of v,
+and per run and layout one search, ``_completed``, fills the classes
+around u with the second endpoint left open.  The set W of v's that every
+pick so far is adjacent to shrinks with each pick, and a complete fill
+completes uv for every v still in W.  Its rows come from a table built
+once per sweep, each vertex's rows onto every class of every layout.  This
+search is separate from the per-call fill ``_fill``: the verifier
+re-confirms each nonedge it leaves open through :func:`contains_after`,
+and differential tests against :func:`contains_after` guard the nonedges
+it takes as completed, which no run-time check sees.
 """
 
 from __future__ import annotations
@@ -222,38 +225,93 @@ def _uncompleted(g, pat: PatternSpec):
     """Yield (position, u, v) for each nonedge uv of the pattern-free g
     whose addition completes no copy, position counting in canonical order.
 
-    Per run of g's nonedges (u = v_i^a, v = v_j^b for b over the mask) and
-    layout, the classes are narrowed by u's row once, then by each open v's
-    row, and filled; a layout that puts u and v in one class is skipped,
-    its copies avoid uv.  Every row comes from a table built once per call.
-    The answer for each nonedge is the one :func:`contains_after` gives.
+    The nonedges come from g's rows as runs: u = v_i^a, v = v_j^b for b over
+    the run's mask.  Per run and layout one search (:func:`_completed`)
+    finds every v of the run that some copy through u and v admits; a
+    layout that puts u and v in one class is skipped, its copies avoid uv.
+    Every row comes from a table built once per call.
     """
     sizes, order, layouts = _layouts(pat, g.part_sizes)
     tables = _row_table(g, layouts)
     pos = 0
     for i, a, j, mask in nonedge_runs(g):
         left = mask
-        for layout, table in zip(layouts, tables):
+        for (_, full, where, _), table in zip(layouts, tables):
             if not left:
                 break
-            (cu, off_u), (cv, off_v) = layout[2][i - 1], layout[2][j - 1]
+            (cu, off_u), (cv, off_v) = where[i - 1], where[j - 1]
             if cu == cv:
                 continue
             bu = off_u + a - 1
-            cand_u = [m & r for m, r in zip(layout[1], table[cu][bu])]
-            for b in iter_bits(left):
-                bv = off_v + b - 1
-                req = [0] * len(cand_u)
-                req[cu], req[cv] = 1 << bu, 1 << bv
-                cand = [(m & r) | q for m, r, q in zip(cand_u, table[cv][bv], req)]
-                if _fill(None, layout, sizes, order, cand, req, table) is not None:
-                    left ^= 1 << (b - 1)
+            cand = [m & r for m, r in zip(full, table[cu][bu])]
+            cand[cu] ^= 1 << bu
+            left &= ~(_completed(table, sizes, order, cand, cu, cv, left << off_v) >> off_v)
         for b in iter_bits(left):
             yield pos + (mask & ((1 << (b - 1)) - 1)).bit_count(), VertexRef(i, a), VertexRef(j, b)
         pos += mask.bit_count()
 
 
-def _fill(nbr, layout, sizes, order, cand, req, table=None) -> Optional[list[int]]:
+def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
+    """The bits of ``goal`` (second endpoints v in class cv) whose edge to
+    u, in class cu, completes a copy in this layout.
+
+    One fill serves every v at once: W, the v's still possible, starts at
+    ``goal`` and each pick outside cv narrows it to the pick's neighbours,
+    so a complete fill is a copy through u and each v left in W.  ``cand``
+    arrives narrowed to u's neighbours and without u; a v is in no mask,
+    so u's and v's classes need one member fewer.  A branch whose W holds
+    no v still open is cut, and the search stops once all are done.  Once
+    W holds a single v its rows narrow the masks, as a fill for that one
+    nonedge would be narrowed from the start.
+    """
+    need = [s - (c in (cu, cv)) for c, s in enumerate(sizes)]
+    vrows = table[cv]
+    done = 0
+
+    def rec(k: int, cand: list[int], left: int, pool: int, w0: int) -> bool:
+        nonlocal done
+        if not left:
+            if k + 1 == len(order):
+                done |= w0
+                return done == goal
+            c = order[k + 1]
+            return rec(k + 1, cand, need[c], cand[c], w0)
+        c = order[k]
+        while pool.bit_count() >= left:
+            w = w0 & ~done
+            if not w:
+                return False
+            low = pool & -pool
+            pool ^= low
+            rows = table[c][low.bit_length() - 1]
+            if c != cv:
+                w &= rows[cv]
+                if not w:
+                    continue
+            rest = pool
+            if w != w0 and not w & (w - 1):
+                vrow = vrows[w.bit_length() - 1]
+                rows = [r & q for r, q in zip(rows, vrow)]
+                rest &= vrow[c]
+            narrowed = list(cand)
+            for c2 in order[k + 1:]:
+                m2 = cand[c2] & rows[c2]
+                if m2.bit_count() < need[c2]:
+                    break
+                narrowed[c2] = m2
+            else:
+                if rec(k, narrowed, left - 1, rest, w):
+                    return True
+        return False
+
+    if not goal & (goal - 1):
+        cand = [m & r for m, r in zip(cand, vrows[goal.bit_length() - 1])]
+    c = order[0]
+    rec(0, cand, need[c], cand[c], goal)
+    return done
+
+
+def _fill(nbr, layout, sizes, order, cand, req) -> Optional[list[int]]:
     """Class masks of the first embedding in exploration order, or None.
 
     Classes are filled in ``order`` and members in ascending bit order, so
@@ -261,8 +319,8 @@ def _fill(nbr, layout, sizes, order, cand, req, table=None) -> Optional[list[int
     the later classes and is dropped as soon as one of them falls below its
     class size.  Required members stay in every mask: ``cand`` arrives
     narrowed to their neighbourhoods, so every pick is adjacent to them.
-    A picked vertex's rows come from ``table`` (see :func:`_row_table`)
-    when given, else from g one class at a time, as they are needed.
+    A picked vertex's rows are read from g one class at a time, as they
+    are needed.
     """
     spans, _, _, refs = layout
     chosen = list(req)
@@ -277,15 +335,11 @@ def _fill(nbr, layout, sizes, order, cand, req, table=None) -> Optional[list[int
         while pool.bit_count() >= need:
             low = pool & -pool
             pool ^= low
-            b = low.bit_length() - 1
-            if table is not None:
-                rows = table[c][b]
-            else:
-                x = refs[c][b]
-                i, a = x.part, x.index
+            x = refs[c][low.bit_length() - 1]
+            i, a = x.part, x.index
             narrowed = list(cand)
             for c2 in order[k + 1:]:
-                m2 = cand[c2] & (rows[c2] if table is not None else _row(nbr, i, a, spans[c2]))
+                m2 = cand[c2] & _row(nbr, i, a, spans[c2])
                 if m2.bit_count() < sizes[c2]:
                     break
                 narrowed[c2] = m2

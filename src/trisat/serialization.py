@@ -92,9 +92,10 @@ def _from_json(text: str) -> TripartiteGraph:
     return graph_from_json_obj(obj)
 
 
-def _decimals(fields: list[str]) -> list[int]:
+def decimal_ints(fields: list[str]) -> list[int]:
     """The fields as ints; ValueError unless each is plain ASCII decimal
-    digits (Python's ``int`` also takes signs, ``_`` and spaces)."""
+    digits (Python's ``int`` also takes signs, ``_``, spaces and non-ASCII
+    digits).  The edge-list decoder and the command line share this rule."""
     if not all(x.isascii() and x.isdigit() for x in fields):
         raise ValueError("not a decimal field")
     return [int(x) for x in fields]
@@ -108,7 +109,7 @@ def _from_edge_lines(text: str) -> TripartiteGraph:
     if len(head) != 4 or head[0] != "tripartite":
         raise FormatError("line 1: expected header 'tripartite n1 n2 n3'")
     try:
-        sizes = tuple(_decimals(head[1:]))
+        sizes = tuple(decimal_ints(head[1:]))
     except ValueError:
         raise FormatError("line 1: part sizes must be decimal integers") from None
     if any(n < 1 for n in sizes):
@@ -121,7 +122,7 @@ def _from_edge_lines(text: str) -> TripartiteGraph:
         if len(fields) != 4:
             raise FormatError(f"line {ln}: expected 'i a j b', got {line!r}")
         try:
-            i, a, j, bb = _decimals(fields)
+            i, a, j, bb = decimal_ints(fields)
         except ValueError:
             raise FormatError(f"line {ln}: non-decimal field in {line!r}") from None
         try:

@@ -10,11 +10,14 @@ witness, or the full list of host nonedges whose addition completes no copy
 Freeness is checked first.  A graph that already contains the pattern
 needs no per-nonedge search at all: by monotonicity every G + e contains
 it too, so no nonedge violates.  On a pattern-free graph only embeddings
-using both endpoints of a nonedge can be new, and the nonedges, read from
-g's rows, are swept by endpoint rather than searched one at a time (see
-:mod:`trisat.containment`).  Each nonedge the sweep leaves uncompleted is
-re-confirmed with :func:`contains_after` before it is reported; a
-disagreement raises an internal :class:`VerifierError`.
+using both endpoints of a nonedge can be new.  The nonedges, read from
+g's rows in runs that share the first endpoint and the part of the second,
+are not searched one at a time: one search per run finds every second
+endpoint that completes a copy (see :mod:`trisat.containment`).  Each
+nonedge the sweep leaves uncompleted is re-confirmed with
+:func:`contains_after` before it is reported, and a disagreement raises an
+internal :class:`VerifierError`; that the nonedges it takes as completed
+are completed is checked by differential tests, not at run time.
 """
 
 from __future__ import annotations

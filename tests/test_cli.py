@@ -180,3 +180,43 @@ def test_usage_error_exit2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["sat", "--host", "2,2,2"])  # missing --pattern
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("bad", ["1_0", "+3", "\u0663", " -3", "0x3", "3.0", ""])
+@pytest.mark.parametrize("flag", ["--n", "--host", "--pattern", "--params"])
+def test_integer_arguments_are_plain_ascii_decimals(tmp_path, capsys, flag, bad):
+    # the rule of the edge-list decoder; Python's int() would read 1_0 as 10,
+    # +3 as 3 and the Arabic-Indic digit three (U+0663) as 3, and each
+    # command below succeeds with 10 or 3 in place of the bad field
+    argv, where = {
+        "--n": (["construct", "--construction", "1", "--l", "1", "--m", "1",
+                 "--n", f"{bad},3,3", "--out", str(tmp_path / "g.edges")], "--n"),
+        "--host": (["sat", "--method", "greedy", "--trials", "1", "--host", f"{bad},2,2",
+                    "--pattern", "1,1,1"], "--host"),
+        "--pattern": (["sat", "--method", "greedy", "--trials", "1", "--host", "3,2,2",
+                       "--pattern", f"{bad},1,1"], "--pattern"),
+        "--params": (["formula", "--name", "fjpw", "--params", f"k=3,n={bad}"],
+                     "parameter 'n'"),
+    }[flag]
+    code, stdout, _ = run(capsys, *argv)
+    assert code == 2
+    assert where in json.loads(stdout)["error"]
+
+
+def test_integer_arguments_accept_spaces_around_decimals(capsys):
+    code, stdout, _ = run(capsys, "sat", "--host", " 2, 2 ,2", "--pattern", "2,2,0")
+    assert code == 0 and json.loads(stdout)["value"] == 6
+    code, stdout, _ = run(capsys, "formula", "--name", "fjpw", "--params", "k = 3, n=200")
+    assert code == 0 and json.loads(stdout)["value"] == 1194
+
+
+@pytest.mark.parametrize("method", ["greedy", "exhaustive"])
+@pytest.mark.parametrize("budget", ["0", "1000"])
+def test_budget_rejected_unless_exact(capsys, method, budget):
+    code, stdout, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "1,1,1",
+                          "--method", method, "--budget", budget)
+    assert code == 2
+    assert "--budget" in json.loads(stdout)["error"]
+    code, _, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "1,1,1",
+                     "--method", method)
+    assert code == 0

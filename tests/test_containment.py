@@ -8,7 +8,9 @@ import pytest
 from trisat import (ContainmentError, GraphBuilder, PatternError, PatternSpec,
                     TripartiteGraph, VertexRef, construction1, construction3,
                     construction4, construction_c4, contains, contains_after,
-                    contains_naive, new_host, validate_embedding)
+                    contains_naive, host_nonedges, new_host, validate_embedding)
+from trisat.containment import _uncompleted
+from trisat.graphs import host_edges, iter_bits, nonedge_runs
 from conftest import PAIRS, random_graph, random_pattern, random_sizes
 
 
@@ -25,6 +27,38 @@ def build_free_graph(rnd: random.Random, sizes, pat) -> TripartiteGraph:
         elif rnd.random() < 0.3:
             b.remove_edge(u, v)  # thin out to keep some nonedges incompletable
     return b.build()
+
+
+def maximal_free_graph(rnd: random.Random, sizes, pat, drop: int = 0) -> TripartiteGraph:
+    """Random maximal pattern-free graph, grown as the greedy sampler grows
+    one (an edge is kept iff it completes no copy), minus ``drop`` of its
+    edges picked at random."""
+    edges = host_edges(sizes)
+    rnd.shuffle(edges)
+    b = GraphBuilder(sizes)
+    for u, v in edges:
+        if contains_after(b, pat, u, v) is None:
+            b.add_edge(u, v)
+    for u, v in rnd.sample(b.edges(), min(drop, b.num_edges)):
+        b.remove_edge(u, v)
+    return b.build()
+
+
+def assert_sweep_matches_contains_after(g, pat) -> None:
+    """The sweep's uncompleted nonedges, positions included, are exactly
+    those where contains_after finds no copy: a nonedge wrongly taken as
+    completed would hide a violation from the verifier."""
+    nonedges = host_nonedges(g)
+    expected = [(k, u, v) for k, (u, v) in enumerate(nonedges)
+                if contains_after(g, pat, u, v) is None]
+    assert list(_uncompleted(g, pat)) == expected
+
+
+def mixed_runs(g, pat) -> int:
+    """Runs of g's nonedges that hold completed and open nonedges both."""
+    open_ = {(u, v) for _, u, v in _uncompleted(g, pat)}
+    return sum(0 < sum((VertexRef(i, a), VertexRef(j, b)) in open_ for b in iter_bits(mask))
+               < mask.bit_count() for i, a, j, mask in nonedge_runs(g))
 
 
 def test_complete_host_triangle_golden_witness():
@@ -238,3 +272,48 @@ def test_pattern_sizes_reject_non_integers(sizes):
 def test_naive_guard():
     with pytest.raises(ContainmentError):
         contains_naive(new_host(6, 6, 6), PatternSpec(1, 1, 1))
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 1), (4, 2, 1), (3, 3, 3), (3, 1, 0),
+                                   (3, 3, 0)])
+def test_nonedge_sweep_matches_contains_after(sizes):
+    # maximal pattern-free graphs, where every nonedge completes a copy, and
+    # the same minus a few edges, where a run of nonedges can mix completed
+    # and open ones; parts from the pattern's smallest class (at least 1)
+    # up to 7, in any order
+    pat = PatternSpec(*sizes)
+    rnd = random.Random(sum(s << (4 * k) for k, s in enumerate(sizes)))
+    mixed = 0
+    for t in range(40):
+        ns = tuple(rnd.randint(max(1, pat.p), 7) for _ in range(3))
+        g = maximal_free_graph(rnd, ns, pat, drop=(0, 1, 3)[t % 3])
+        assert contains(g, pat) is None
+        assert_sweep_matches_contains_after(g, pat)
+        mixed += mixed_runs(g, pat)
+    assert mixed >= 10
+
+
+@pytest.mark.parametrize("sizes", [(2, 2, 2), (3, 3, 1), (4, 2, 1), (3, 3, 3)])
+def test_nonedge_sweep_on_runs_of_one_nonedge(sizes):
+    # the host minus a random partial matching in each part pair: every run
+    # of nonedges holds at most one, so each search starts from a single
+    # second endpoint; graphs that contain the pattern are skipped, and some
+    # of the others must have both completed and open nonedges
+    pat = PatternSpec(*sizes)
+    rnd = random.Random(sum(s << (4 * k) for k, s in enumerate(sizes)))
+    free = mixed = 0
+    for _ in range(80):
+        ns = tuple(rnd.randint(2, 6) for _ in range(3))
+        missing = set()
+        for i, j in PAIRS:
+            partners = rnd.sample(range(1, ns[j - 1] + 1), min(ns[i - 1], ns[j - 1]))
+            missing |= {(VertexRef(i, a), VertexRef(j, b))
+                        for a, b in enumerate(partners, start=1) if rnd.random() < 0.7}
+        g = TripartiteGraph.from_edges(ns, [e for e in host_edges(ns) if e not in missing])
+        if contains(g, pat) is not None:
+            continue
+        assert all(mask.bit_count() <= 1 for *_, mask in nonedge_runs(g))
+        assert_sweep_matches_contains_after(g, pat)
+        free += 1
+        mixed += 0 < sum(1 for _ in _uncompleted(g, pat)) < len(missing)
+    assert free >= 10 and mixed >= 5

@@ -1,12 +1,14 @@
 """Verifier: report invariants, certificate soundness, degree diagnostics."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
-from trisat import (GraphBuilder, PatternSpec, VertexRef, VerifierError,
+from trisat import (GraphBuilder, PatternSpec, TripartiteGraph, VertexRef, VerifierError,
                     construction1, construction3, construction5,
-                    construction_c4, contains, contains_naive,
+                    construction_c4, constructions, contains, contains_naive,
                     degree_threshold_check, host_nonedges, is_saturated,
                     new_host, residual_structure_check)
 from conftest import random_graph, random_sizes
@@ -58,11 +60,12 @@ def _free_graph(rnd: random.Random, sizes, pat: PatternSpec):
 
 
 @pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1), (2, 2, 0),
-                                   (1, 1, 0)])
+                                   (1, 1, 0), (2, 2, 2), (3, 1, 0)])
 def test_nonedge_sweep_matches_naive_oracle(sizes):
     # every report against contains_naive on g and on each g + e, on graphs
     # of at most 15 vertices, half of them pattern-free by construction;
-    # a single edge completes K(1,1,0) anywhere, so only it has no violations
+    # a single edge completes K(1,1,0) anywhere, so only it has no violations,
+    # and most nonedges complete a star K(3,1,0), so fewer graphs have one
     pat = PatternSpec(*sizes)
     rnd = random.Random(sum(s << (4 * k) for k, s in enumerate(sizes)))
     violated = 0
@@ -81,7 +84,7 @@ def test_nonedge_sweep_matches_naive_oracle(sizes):
         assert early.checked_nonedges == (nonedges.index(naive[0]) + 1 if naive
                                           else len(nonedges))
         violated += bool(naive)
-    assert violated >= 10 or pat == PatternSpec(1, 1, 0)
+    assert violated >= {PatternSpec(1, 1, 0): 0, PatternSpec(3, 1, 0): 5}.get(pat, 10)
 
 
 def test_certificate_soundness_direct_recheck():
@@ -202,3 +205,53 @@ def test_residual_structure_check_matches_brute_force():
         assert rep.triangle == first
         assert rep.triangle_free == (first is None)
         assert rep.degrees == degrees
+
+
+# (family, n, parameters) of the verify benchmark's four families at small n
+_PINNED_FAMILIES = (("1", 10, {"l": 1, "m": 1}), ("c4", 6, {}),
+                    ("3", 8, {"l": 2, "m": 2, "p": 1}), ("5", 6, {"l": 4, "m": 2, "p": 1}))
+
+
+def _pinned_report_inputs():
+    """(graph, pattern) pairs: each family as built, minus every 7th edge
+    and plus every 7th nonedge one at a time, minus every 5th edge at once,
+    and every build below its family's threshold that force=True admits
+    on K_{n,n,n} with n <= 6 and l <= 4."""
+    out = []
+    for which, n, params in _PINNED_FAMILIES:
+        g = constructions.build(which, n, n, n, **params)
+        pat = constructions.pattern_for(which, **params)
+        out.append((g, pat))
+        out += [(g.without_edge(*e), pat) for e in g.edges()[::7]]
+        out += [(g.with_edge(*e), pat) for e in host_nonedges(g)[::7]]
+        kept = [e for k, e in enumerate(g.edges()) if k % 5]
+        out.append((TripartiteGraph.from_edges(g.part_sizes, kept), pat))
+    for which in ("1", "3", "4", "5"):
+        for n in range(1, 7):
+            for l in range(1, 5):
+                for m in range(1, l + 1):
+                    for p in ((None,) if which in "14" else range(1, m)):
+                        params = {"l": l, "m": m} if p is None else {"l": l, "m": m, "p": p}
+                        try:
+                            constructions.build(which, n, n, n, **params)
+                            continue  # in regime
+                        except ValueError:
+                            pass
+                        try:
+                            g = constructions.build(which, n, n, n, **params, force=True)
+                        except ValueError:
+                            continue
+                        out.append((g, constructions.pattern_for(which, **params)))
+    return out
+
+
+def test_reports_pinned_on_constructions_and_their_neighbours():
+    # every report in full (verdict, witness, violations in canonical order,
+    # counts), pinned by digest over the canonical JSON of all 174 reports
+    inputs = _pinned_report_inputs()
+    objs = [is_saturated(g, g.part_sizes, pat).to_json_obj() for g, pat in inputs]
+    assert len(objs) == 174
+    assert sum(len(obj["violating_nonedges"]) for obj in objs) == 919
+    blob = json.dumps(objs, sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "8402d4a68ce10dfb8a2580fc062af245e617a98d078377745c5852f798452ef7")
