@@ -4,13 +4,16 @@ Machine-readable results go to standard output (JSON, or graph data for
 ``construct``); human-facing summaries go to standard error.  Exit codes:
 0 success (for ``verify``: saturated), 1 verification refuted, 2 usage or
 I/O errors.  On error standard output carries at most one JSON error
-object.
+object; a standard output closed by its reader ends the run with exit
+code 2 and no further output.  Integer flags take plain ASCII decimal
+digits only, as the edge-list format does.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import constructions
@@ -33,6 +36,16 @@ def _parse_triple(text: str, what: str) -> tuple[int, int, int]:
     if len(vals) != 3:
         raise _CliError(f"{what} must be three comma-separated decimal integers, got {text!r}")
     return vals
+
+
+def _parse_int(text: str | None, flag: str) -> int | None:
+    """The value of an integer flag, or None when the flag was not given."""
+    if text is None:
+        return None
+    try:
+        return decimal_ints([text.strip()])[0]
+    except ValueError:
+        raise _CliError(f"{flag} must be a decimal integer, got {text!r}") from None
 
 
 def _parse_params(text: str) -> dict:
@@ -58,10 +71,12 @@ def _emit_error(msg: str) -> int:
 
 def _cmd_construct(args) -> int:
     n1, n2, n3 = _parse_triple(args.n, "--n")
-    g = constructions.build(args.construction, n1, n2, n3, l=args.l, m=args.m,
-                            p=args.p, variant=args.variant, force=args.force)
+    l, m, p = (_parse_int(args.l, "--l"), _parse_int(args.m, "--m"), _parse_int(args.p, "--p"))
+    variant = _parse_int(args.variant, "--variant")
+    g = constructions.build(args.construction, n1, n2, n3, l=l, m=m, p=p,
+                            variant=1 if variant is None else variant, force=args.force)
     # a successful build meets its formula's preconditions, so this cannot raise
-    rec = constructions.formula_for(args.construction, n1, n2, n3, l=args.l, m=args.m, p=args.p)
+    rec = constructions.formula_for(args.construction, n1, n2, n3, l=l, m=m, p=p)
     data = serialize(g, args.format)
     if args.out:
         with open(args.out, "wb") as fh:
@@ -86,17 +101,22 @@ def _cmd_verify(args) -> int:
 def _cmd_sat(args) -> int:
     host = _parse_triple(args.host, "--host")
     pat = PatternSpec(*_parse_triple(args.pattern, "--pattern"))
-    if args.budget is not None and args.method != "exact":
-        raise _CliError(f"--budget applies only to --method exact, not {args.method}")
+    budget = _parse_int(args.budget, "--budget")
+    trials, seed = _parse_int(args.trials, "--trials"), _parse_int(args.seed, "--seed")
+    for flag, value, method in (("--budget", budget, "exact"), ("--trials", trials, "greedy"),
+                                ("--seed", seed, "greedy")):
+        if value is not None and args.method != method:
+            raise _CliError(f"{flag} applies only to --method {method}, not {args.method}")
     if args.method == "exhaustive":
         result = sat_exhaustive(host, pat)
     elif args.method == "exact":
         if args.enumerate:
-            result = enumerate_optima(host, pat, node_budget=args.budget)
+            result = enumerate_optima(host, pat, node_budget=budget)
         else:
-            result = sat_exact(host, pat, node_budget=args.budget)
+            result = sat_exact(host, pat, node_budget=budget)
     else:
-        result = sat_greedy(host, pat, trials=args.trials, seed=args.seed)
+        result = sat_greedy(host, pat, trials=100 if trials is None else trials,
+                            seed=0 if seed is None else seed)
     obj = result.to_json_obj()
     if args.enumerate:
         paths = []
@@ -139,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("construct", help="generate a saturated-subgraph construction")
     c.add_argument("--construction", required=True, choices=constructions.CONSTRUCTION_NAMES)
-    c.add_argument("--l", type=int, default=None)
-    c.add_argument("--m", type=int, default=None)
-    c.add_argument("--p", type=int, default=None)
-    c.add_argument("--variant", type=int, default=1, help="part index for construction 2")
+    c.add_argument("--l")
+    c.add_argument("--m")
+    c.add_argument("--p")
+    c.add_argument("--variant", help="part index for construction 2 (default 1)")
     c.add_argument("--n", required=True, help="host sizes N1,N2,N3")
     c.add_argument("--out", default=None, help="output file (default: stdout)")
     c.add_argument("--format", choices=("json", "edges"), default="edges")
@@ -160,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--host", required=True, help="host sizes N1,N2,N3")
     s.add_argument("--pattern", required=True, help="pattern class sizes L,M,P")
     s.add_argument("--method", choices=("exact", "exhaustive", "greedy"), default="exact")
-    s.add_argument("--trials", type=int, default=100, help="greedy trials")
-    s.add_argument("--seed", type=int, default=0, help="greedy seed")
-    s.add_argument("--budget", type=int, default=None, help="exact-search node budget")
+    s.add_argument("--trials", help="greedy trials (default 100)")
+    s.add_argument("--seed", help="greedy seed (default 0)")
+    s.add_argument("--budget", help="exact-search node budget")
     s.add_argument("--enumerate", action="store_true",
                    help="write the optima as numbered witness files "
                         "(deduplicated by isomorphism for the exact method)")
@@ -185,11 +205,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # every trisat error is a ValueError, every failed file access an OSError
     try:
-        return args.fn(args)
-    except (_CliError, ValueError, OSError) as exc:
-        return _emit_error(str(exc))
+        # every trisat error is a ValueError, every failed file access an OSError
+        try:
+            code = args.fn(args)
+        except BrokenPipeError:
+            raise
+        except (_CliError, ValueError, OSError) as exc:
+            code = _emit_error(str(exc))
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, so nothing more can reach it; pointing it
+        # at the null device keeps the interpreter's final flush from failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
 
 
 if __name__ == "__main__":

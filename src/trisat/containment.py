@@ -27,6 +27,12 @@ fill, so a layout yields its lexicographically first embedding.
 core, ``_decide``, which returns the chosen class masks of the first
 embedding, or None; only they turn the masks into an :class:`Embedding`,
 reading each vertex from the per-layout tables cached with the layouts.
+Per call ``_decide`` reads each endpoint's row into each part once; a
+plan cached per pattern, host and endpoint parts says how every layout's
+class masks are laid together from these per-part masks.  A layout where
+a class has fewer candidates than members still to pick is skipped before
+any search, and the fill ``_fill`` takes the last class's lowest
+candidates directly, since every pick before it kept enough of them.
 The verifier asks one question per host nonedge of a pattern-free graph,
 whether adding it completes a copy, and
 ``_uncompleted`` answers all of them in one sweep: it reads the nonedges
@@ -74,7 +80,7 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
             raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
     if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    return _witness(_decide(g, pat, ((u.part, u.index), (v.part, v.index))))
+    return _witness(_decide(g, pat, (u.part, v.part), (u.index, v.index)))
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -172,33 +178,80 @@ def _row(nbr, i: int, a: int, span) -> int:
     return row
 
 
-def _decide(g, pat: PatternSpec, required=()):
-    """(vertices by class, class masks) of the first embedding over all
-    layouts that uses every (part, index) in ``required``, in g plus the edges
-    joining the required vertices; None when there is none.
+@lru_cache(maxsize=1024)
+def _plan(pat: PatternSpec, ns: tuple[int, int, int], req_parts: tuple[int, ...]):
+    """How :func:`_decide` builds each layout's class masks when the
+    required vertices lie in ``req_parts``.
 
-    Each required vertex narrows the other classes to its neighbours in g;
-    the one edge g lacks, between the two required vertices, is put back by
-    adding the required bits to the narrowed masks.  Picked members are
-    never required vertices, so every other row is read from g as is."""
-    nbr = g.neighbors_mask
-    sizes, order, layouts = _layouts(pat, g.part_sizes)
+    Returns (order, part masks, layouts).  A part mask is one part's
+    vertices narrowed to the neighbours of some required vertices, given
+    as (part, its full mask, the (part, position in ``req_parts``) of each
+    narrowing vertex); one call reads each once.  Per layout that puts the
+    required vertices in distinct classes: the layout, per class its
+    (part mask index, bit offset) pairs and the members it still needs, and
+    per required vertex its (class, bit offset).  A required vertex narrows
+    every class but its own.  For p >= 1 every class is one part, so each
+    part has one mask and the layouts only assign them to classes; for
+    p = 0 the part without an endpoint has one mask per endpoint class it
+    can join."""
+    sizes, order, layouts = _layouts(pat, ns)
+    keys, plans = [], []
     for layout in layouts:
-        spans, full, where, refs = layout
-        cand, req = list(full), [0] * len(full)
-        for i, a in required:
-            c, off = where[i - 1]
-            if req[c]:
-                break  # both endpoints in one class: such a copy avoids uv
-            req[c] = 1 << (off + a - 1)
-            for c2, span in enumerate(spans):
-                if c2 != c:
-                    cand[c2] &= _row(nbr, i, a, span)
+        spans, _, where, _ = layout
+        home = tuple(where[i - 1] for i in req_parts)
+        classes = [c for c, _ in home]
+        if len(set(classes)) < len(classes):
+            continue  # two required vertices in one class: such copies avoid their edge
+        build = []
+        for c, span in enumerate(spans):
+            by = tuple((i, t) for t, (i, c2) in enumerate(zip(req_parts, classes)) if c2 != c)
+            for j, _ in span:
+                if (j, by) not in keys:
+                    keys.append((j, by))
+            build.append(tuple((keys.index((j, by)), off) for j, off in span))
+        need = tuple(s - classes.count(c) for c, s in enumerate(sizes))
+        plans.append((layout, tuple(build), need, home))
+    return order, tuple((j, (1 << ns[j - 1]) - 1, by) for j, by in keys), tuple(plans)
+
+
+def _decide(g, pat: PatternSpec, req_parts=(), req_indices=()):
+    """(vertices by class, class masks) of the first embedding over all
+    layouts that uses the required vertices v_i^a, i from ``req_parts`` and
+    a from ``req_indices``, in g plus the edges joining them; None when
+    there is none.
+
+    Each required vertex narrows the other classes to its neighbours in g,
+    so its row into each part is read once per call, and each layout's
+    class masks are laid together from these per-part masks as
+    :func:`_plan` says.  A layout where some class has fewer candidates
+    than members still to pick is skipped before :func:`_fill`, which could
+    not fill it either: picks only narrow the masks.  The masks hold no
+    required vertex; the required vertices join the chosen members at the
+    end, which puts back the one edge g lacks, between them.  Picked
+    members are never required vertices, so every other row is read from g
+    as is."""
+    nbr = g.neighbors_mask
+    order, parts, plans = _plan(pat, g.part_sizes, req_parts)
+    masks = []
+    for j, m, by in parts:
+        for i, t in by:
+            m &= nbr(i, req_indices[t], j)
+        masks.append(m)
+    for layout, build, need, home in plans:
+        cand = []
+        for spec, n in zip(build, need):
+            m = 0
+            for x, off in spec:
+                m |= masks[x] << off
+            if m.bit_count() < n:
+                break
+            cand.append(m)
         else:
-            cand = [m | r for m, r in zip(cand, req)]
-            chosen = _fill(nbr, layout, sizes, order, cand, req)
+            chosen = _fill(nbr, layout, order, cand, need)
             if chosen is not None:
-                return refs, chosen
+                for (c, off), a in zip(home, req_indices):
+                    chosen[c] |= 1 << (off + a - 1)
+                return layout[-1], chosen
     return None
 
 
@@ -207,8 +260,15 @@ def _witness(found) -> Optional[Embedding]:
     if found is None:
         return None
     refs, chosen = found
-    return Embedding(tuple(frozenset(rs[b - 1] for b in iter_bits(m))
-                           for rs, m in zip(refs, chosen)))
+    classes = []
+    for rs, m in zip(refs, chosen):
+        members = []
+        while m:
+            low = m & -m
+            members.append(rs[low.bit_length() - 1])
+            m ^= low
+        classes.append(frozenset(members))
+    return Embedding(tuple(classes))
 
 
 def _row_table(g, layouts):
@@ -311,28 +371,34 @@ def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
     return done
 
 
-def _fill(nbr, layout, sizes, order, cand, req) -> Optional[list[int]]:
+def _fill(nbr, layout, order, cand, need) -> Optional[list[int]]:
     """Class masks of the first embedding in exploration order, or None.
 
     Classes are filled in ``order`` and members in ascending bit order, so
-    the choices come in lexicographic order.  A pick narrows the masks of
-    the later classes and is dropped as soon as one of them falls below its
-    class size.  Required members stay in every mask: ``cand`` arrives
-    narrowed to their neighbourhoods, so every pick is adjacent to them.
-    A picked vertex's rows are read from g one class at a time, as they
-    are needed.
+    the choices come in lexicographic order.  ``cand`` holds each class's
+    candidates, at least ``need`` of them.  A pick narrows the masks of the
+    later classes and is dropped as soon as one of them falls below its
+    need, so the last class always has enough candidates when its turn
+    comes and takes its lowest ones without a search.  A picked vertex's
+    rows are read from g one class at a time, as they are needed.
     """
     spans, _, _, refs = layout
-    chosen = list(req)
+    chosen = [0] * len(cand)
+    last = len(order) - 1
 
-    def rec(k: int, cand: list[int], need: int, pool: int) -> bool:
-        if not need:
-            if k + 1 == len(order):
+    def rec(k: int, cand: list[int], left: int, pool: int) -> bool:
+        if not left:
+            k += 1
+            c = order[k]
+            if k == last:
+                m = cand[c]
+                for _ in range(need[c]):
+                    m &= m - 1
+                chosen[c] = cand[c] ^ m
                 return True
-            c = order[k + 1]
-            return rec(k + 1, cand, sizes[c] - req[c].bit_count(), cand[c] & ~req[c])
+            return rec(k, cand, need[c], cand[c])
         c = order[k]
-        while pool.bit_count() >= need:
+        while pool.bit_count() >= left:
             low = pool & -pool
             pool ^= low
             x = refs[c][low.bit_length() - 1]
@@ -340,15 +406,15 @@ def _fill(nbr, layout, sizes, order, cand, req) -> Optional[list[int]]:
             narrowed = list(cand)
             for c2 in order[k + 1:]:
                 m2 = cand[c2] & _row(nbr, i, a, spans[c2])
-                if m2.bit_count() < sizes[c2]:
+                if m2.bit_count() < need[c2]:
                     break
                 narrowed[c2] = m2
             else:
                 chosen[c] |= low
-                if rec(k, narrowed, need - 1, pool):
+                if rec(k, narrowed, left - 1, pool):
                     return True
                 chosen[c] ^= low
         return False
 
     c = order[0]
-    return chosen if rec(0, cand, sizes[c] - req[c].bit_count(), cand[c] & ~req[c]) else None
+    return chosen if rec(0, cand, need[c], cand[c]) else None

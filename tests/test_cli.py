@@ -1,6 +1,9 @@
 """CLI surface: flags, exit codes, output channels, golden table."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -183,20 +186,33 @@ def test_usage_error_exit2(capsys):
 
 
 @pytest.mark.parametrize("bad", ["1_0", "+3", "\u0663", " -3", "0x3", "3.0", ""])
-@pytest.mark.parametrize("flag", ["--n", "--host", "--pattern", "--params"])
+@pytest.mark.parametrize("flag", ["--n", "--host", "--pattern", "--params", "--l", "--m", "--p",
+                                  "--variant", "--trials", "--seed", "--budget"])
 def test_integer_arguments_are_plain_ascii_decimals(tmp_path, capsys, flag, bad):
     # the rule of the edge-list decoder; Python's int() would read 1_0 as 10,
     # +3 as 3 and the Arabic-Indic digit three (U+0663) as 3, and each
-    # command below succeeds with 10 or 3 in place of the bad field
+    # command below succeeds with 3 in place of the bad field
+    construct = ["construct", "--out", str(tmp_path / "g.edges"), "--construction"]
     argv, where = {
-        "--n": (["construct", "--construction", "1", "--l", "1", "--m", "1",
-                 "--n", f"{bad},3,3", "--out", str(tmp_path / "g.edges")], "--n"),
+        "--n": (construct + ["1", "--l", "1", "--m", "1", "--n", f"{bad},3,3"], "--n"),
         "--host": (["sat", "--method", "greedy", "--trials", "1", "--host", f"{bad},2,2",
                     "--pattern", "1,1,1"], "--host"),
         "--pattern": (["sat", "--method", "greedy", "--trials", "1", "--host", "3,2,2",
                        "--pattern", f"{bad},1,1"], "--pattern"),
         "--params": (["formula", "--name", "fjpw", "--params", f"k=3,n={bad}"],
                      "parameter 'n'"),
+        "--l": (construct + ["1", "--l", bad, "--m", "1", "--n", "12,12,12"], "--l"),
+        "--m": (construct + ["1", "--l", "3", "--m", bad, "--n", "12,12,12"], "--m"),
+        "--p": (construct + ["3", "--l", "4", "--m", "4", "--p", bad, "--n", "12,12,12"],
+                "--p"),
+        "--variant": (construct + ["2", "--variant", bad, "--l", "2", "--m", "2",
+                                   "--n", "8,8,8"], "--variant"),
+        "--trials": (["sat", "--method", "greedy", "--trials", bad, "--host", "2,2,2",
+                      "--pattern", "1,1,1"], "--trials"),
+        "--seed": (["sat", "--method", "greedy", "--trials", "1", "--seed", bad,
+                    "--host", "2,2,2", "--pattern", "1,1,1"], "--seed"),
+        "--budget": (["sat", "--method", "exact", "--budget", bad, "--host", "2,2,2",
+                      "--pattern", "1,1,1"], "--budget"),
     }[flag]
     code, stdout, _ = run(capsys, *argv)
     assert code == 2
@@ -220,3 +236,25 @@ def test_budget_rejected_unless_exact(capsys, method, budget):
     code, _, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "1,1,1",
                      "--method", method)
     assert code == 0
+
+
+@pytest.mark.parametrize("method", ["exact", "exhaustive"])
+@pytest.mark.parametrize("flag", ["--trials", "--seed"])
+def test_greedy_flags_rejected_unless_greedy(capsys, method, flag):
+    code, stdout, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "1,1,1",
+                          "--method", method, flag, "3")
+    assert code == 2
+    assert flag in json.loads(stdout)["error"]
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader is gone before the result is written: no traceback and no
+    # error object sent after it, only exit code 2
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.Popen([sys.executable, "-m", "trisat.cli", "sat", "--host", "4,4,4",
+                             "--pattern", "1,1,1", "--method", "greedy", "--trials", "3"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert stderr == b""

@@ -1,5 +1,6 @@
 """Containment: golden witnesses, oracle agreement, short-circuit contract."""
 
+import hashlib
 import random
 
 import numpy as np
@@ -317,3 +318,36 @@ def test_nonedge_sweep_on_runs_of_one_nonedge(sizes):
         free += 1
         mixed += 0 < sum(1 for _ in _uncompleted(g, pat)) < len(missing)
     assert free >= 10 and mixed >= 5
+
+
+def contains_after_digest(sequences: int = 120) -> str:
+    """sha256 over every contains_after answer along seeded random builder
+    sequences: each sequence shuffles a random host's edges and adds an edge
+    iff contains_after finds no copy, as the greedy sampler does.  An answer
+    is written as its classes, in class order, each as its sorted
+    (part, index) pairs, or as None.  Patterns include p = 0, where a class
+    may span two parts."""
+    rnd = random.Random(16)
+    h = hashlib.sha256()
+    for _ in range(sequences):
+        sizes = tuple(rnd.randint(1, 5) for _ in range(3))
+        pat = random_pattern(rnd, max_class=3)
+        edges = host_edges(sizes)
+        rnd.shuffle(edges)
+        b = GraphBuilder(sizes)
+        for u, v in edges:
+            emb = contains_after(b, pat, u, v)
+            if emb is None:
+                b.add_edge(u, v)
+                h.update(b"None;")
+            else:
+                h.update(repr([sorted((x.part, x.index) for x in cl)
+                               for cl in emb.classes]).encode() + b";")
+    return h.hexdigest()
+
+
+def test_contains_after_answers_pinned_by_digest():
+    # pins which copy is found, not only whether one is: greedy's outputs and
+    # the verifier's reports depend on the first embedding in exploration order
+    assert contains_after_digest() == (
+        "868e54e4414725ec45bc24827c812c997f6218e730e50001c97806e70a95323f")

@@ -481,3 +481,20 @@ def test_exact_values_on_the_40_edge_host(ps, value):
     assert (r.value, r.status) == (value, "complete")
     assert r.witnesses[0].num_edges == value
     assert is_saturated(r.witnesses[0], (4, 4, 3), pat).is_saturated
+
+
+def greedy_digest() -> str:
+    """sha256 over the canonical JSON of sat_greedy results on a host x
+    pattern grid with several seeds: values, trial values and witnesses."""
+    objs = [sat_greedy(host, PatternSpec(*ps), trials=3, seed=seed).to_json_obj()
+            for host in ((3, 3, 3), (4, 3, 2), (5, 4, 4), (6, 5, 2))
+            for ps in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 0), (3, 2, 0), (2, 1, 0))
+            for seed in (0, 1, 2)]
+    return hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+
+
+def test_greedy_outputs_pinned_by_digest():
+    # every scanned edge is decided by contains_after, so this also pins the
+    # containment kernel's answers on the builder greedy mutates
+    assert greedy_digest() == (
+        "6ea17ed65b1182002b017a6ad80a3d59386782419286997243e311ebb03eef27")
