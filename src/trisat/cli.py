@@ -73,10 +73,10 @@ def _cmd_construct(args) -> int:
     n1, n2, n3 = _parse_triple(args.n, "--n")
     l, m, p = (_parse_int(args.l, "--l"), _parse_int(args.m, "--m"), _parse_int(args.p, "--p"))
     variant = _parse_int(args.variant, "--variant")
+    rec = constructions.formula_for(args.construction, n1, n2, n3, l=l, m=m, p=p,
+                                    variant=variant)
     g = constructions.build(args.construction, n1, n2, n3, l=l, m=m, p=p,
                             variant=1 if variant is None else variant, force=args.force)
-    # a successful build meets its formula's preconditions, so this cannot raise
-    rec = constructions.formula_for(args.construction, n1, n2, n3, l=l, m=m, p=p)
     data = serialize(g, args.format)
     if args.out:
         with open(args.out, "wb") as fh:

@@ -418,9 +418,19 @@ def pattern_for(which: str, l: int | None = None, m: int | None = None,
 
 
 def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
-                m: int | None = None, p: int | None = None) -> BoundRecord:
-    """The closed-form edge count matching a construction."""
-    return _family(which).formula((n1, n2, n3), l, m, p)
+                m: int | None = None, p: int | None = None,
+                variant: int | None = None) -> BoundRecord:
+    """The closed-form edge count matching a construction.
+
+    Refuses a parameter given (not None) that the family does not read:
+    l, m or p unless its record names it, variant unless the family is
+    construction 2.  :func:`build` ignores them instead."""
+    rec = _family(which).formula((n1, n2, n3), l, m, p)
+    unread = [k for k, x in (("l", l), ("m", m), ("p", p), ("variant", variant))
+              if x is not None and k not in rec.params and (k, which) != ("variant", "2")]
+    if unread:
+        raise ConstructionError(f"construction {which} does not read {', '.join(unread)}")
+    return rec
 
 
 def build(which: str, n1: int, n2: int, n3: int, l: int | None = None,

@@ -17,40 +17,39 @@ For bipartite patterns (p = 0) the two classes may split across parts; the
 search enumerates the assignments of parts to the two sides (no part may
 host vertices of both classes).
 
-Either way a layout gives each class a tuple of parts, and the class's
-candidates are one int mask over those parts' vertices laid end to end.
+Either way a layout gives each class one mask over g's vertex positions
+(the numbering of :attr:`TripartiteGraph.rows`), the union of its parts,
+and a class's candidates are that mask narrowed by ANDing g's rows.
 Classes are filled in a fixed order and members picked from set bits in
 ascending order, each pick narrowing the masks of the classes still to
-fill, so a layout yields its lexicographically first embedding.
+fill by its row, so a layout yields its lexicographically first
+embedding.
 
 :func:`contains` and :func:`contains_after` run through one decision
 core, ``_decide``, which returns the chosen class masks of the first
-embedding, or None; only they turn the masks into an :class:`Embedding`,
-reading each vertex from the per-layout tables cached with the layouts.
-Per call ``_decide`` reads each endpoint's row into each part once; a
-plan cached per pattern, host and endpoint parts says how every layout's
-class masks are laid together from these per-part masks.  A layout where
-a class has fewer candidates than members still to pick is skipped before
-any search, and the fill ``_fill`` takes the last class's lowest
-candidates directly, since every pick before it kept enough of them.
-The verifier asks one question per host nonedge of a pattern-free graph,
-whether adding it completes a copy, and
-``_uncompleted`` answers all of them in one sweep: it reads the nonedges
-from g's rows as runs that share the first endpoint u and the part of v,
-and per run and layout one search, ``_completed``, fills the classes
-around u with the second endpoint left open.  The set W of v's that every
-pick so far is adjacent to shrinks with each pick, and a complete fill
-completes uv for every v still in W.  Its rows come from a table built
-once per sweep, each vertex's rows onto every class of every layout.  This
-search is separate from the per-call fill ``_fill``: the verifier
-re-confirms each nonedge it leaves open through :func:`contains_after`,
-and differential tests against :func:`contains_after` guard the nonedges
-it takes as completed, which no run-time check sees.
+embedding, or None; only they turn the masks into an :class:`Embedding`.
+A required endpoint narrows every class but its own by its row.  A
+layout where a class has fewer candidates than members still to pick is
+skipped before any search, and the fill ``_fill`` takes the last class's
+lowest candidates directly, since every pick before it kept enough of
+them.  The verifier asks one question per host nonedge of a pattern-free
+graph, whether adding it completes a copy, and ``_uncompleted`` answers
+all of them in one sweep: it reads the nonedges from g's rows as runs
+that share the first endpoint u and the part of v, and per run and
+layout one search, ``_completed``, fills the classes around u with the
+second endpoint left open.  The set W of v's that every pick so far is
+adjacent to shrinks with each pick, and a complete fill completes uv for
+every v still in W.  This search is separate from the per-call fill
+``_fill``: the verifier re-confirms each nonedge it leaves open through
+:func:`contains_after`, and differential tests against
+:func:`contains_after` guard the nonedges it takes as completed, which
+no run-time check sees.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from typing import Optional
 
@@ -80,7 +79,7 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
             raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
     if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    return _witness(_decide(g, pat, (u.part, v.part), (u.index, v.index)))
+    return _witness(_decide(g, pat, u, v))
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -94,15 +93,7 @@ def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
     verts = [VertexRef(i, a) for i in PARTS for a in range(1, g.part_sizes[i - 1] + 1)]
     if len(verts) > 15:
         raise ContainmentError("contains_naive guard: more than 15 vertices")
-    nbrs = {}
-    for v in verts:
-        out = set()
-        for j in PARTS:
-            if j != v.part:
-                for b in iter_bits(g.neighbors_mask(v.part, v.index, j)):
-                    out.add(VertexRef(j, b))
-        nbrs[v] = out
-
+    nbrs = {v: {w for w in verts if g.has_edge(v, w)} for v in verts}
     for a_set in itertools.combinations(verts, sizes[0]):
         common = set(verts)
         for a in a_set:
@@ -122,136 +113,70 @@ def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
     return None
 
 
-def _assignments(sizes: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    """Class-to-part bijections in lexicographic order.
-
-    Assignments that only swap equal-size classes describe the same
-    embeddings, so among those only the sorted representative is kept.
-    """
-    out = []
-    for perm in itertools.permutations(PARTS):
-        if any(sizes[c1] == sizes[c2] and perm[c1] > perm[c2]
-               for c1 in range(3) for c2 in range(c1 + 1, 3)):
-            continue
-        out.append(perm)
-    return out
-
-
 @lru_cache(maxsize=256)
 def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
-    """Class sizes, fill order, and in exploration order every layout that
-    can hold the classes.  A layout gives each class its (part, bit offset)
-    pairs, the mask of all its vertices and its vertices by bit position
-    (0-based), and each part its (class, offset)."""
+    """Class sizes, fill order, every layout that can hold the classes in
+    exploration order, and the vertices by position.  A layout gives each
+    class the mask of its vertices' positions and each part its class."""
     if pat.p >= 1:
         sizes = pat.sizes
         # fill the small classes first; ties broken by class index
         order = tuple(sorted(range(3), key=lambda c: (sizes[c], c)))
-        groups = [tuple((i,) for i in perm) for perm in _assignments(sizes)]
+        # class-to-part bijections in lexicographic order; of those that only
+        # swap equal-size classes, and so give the same embeddings, the sorted one
+        homes = [tuple(perm.index(i) for i in PARTS) for perm in itertools.permutations(PARTS)
+                 if not any(sizes[c1] == sizes[c2] and perm[c1] > perm[c2]
+                            for c1, c2 in itertools.combinations(range(3), 2))]
     else:
         # the Y class first; X is then read off its common neighbourhood
         sizes, order = (pat.ell, pat.m), (1, 0)
-        groups = [tuple(tuple(i for i in PARTS if roles[i - 1] == c) for c in (0, 1))
-                  for roles in itertools.product((0, 1), repeat=3)]
+        homes = list(itertools.product((0, 1), repeat=3))
+    parts = [((1 << n) - 1) << off for n, off in zip(ns, (0, ns[0], ns[0] + ns[1]))]
     layouts = []
-    for group in groups:
-        spans, full, where = [], [], [None] * 3
-        for c, parts in enumerate(group):
-            off = 0
-            for i in parts:
-                where[i - 1] = (c, off)
-                off += ns[i - 1]
-            spans.append(tuple((i, where[i - 1][1]) for i in parts))
-            full.append((1 << off) - 1)
+    for where in homes:
+        full = tuple(sum(m for m, c2 in zip(parts, where) if c2 == c) for c in range(len(sizes)))
         if all(m.bit_count() >= size for m, size in zip(full, sizes)):
-            refs = tuple(tuple(VertexRef(i, a) for i, _ in span for a in range(1, ns[i - 1] + 1))
-                         for span in spans)
-            layouts.append((tuple(spans), tuple(full), tuple(where), refs))
-    return sizes, order, tuple(layouts)
+            layouts.append((full, where))
+    verts = tuple(VertexRef(i, a) for i in PARTS for a in range(1, ns[i - 1] + 1))
+    return sizes, order, tuple(layouts), verts
 
 
-def _row(nbr, i: int, a: int, span) -> int:
-    """Neighbours of v_i^a among a class's vertices, as a mask over them."""
-    row = 0
-    for j, off in span:
-        row |= nbr(i, a, j) << off
-    return row
+def _decide(g, pat: PatternSpec, u=None, v=None):
+    """(vertices by position, class masks) of the first embedding over all
+    layouts, in g plus uv and using both u and v when they are given; None
+    when there is none.
 
-
-@lru_cache(maxsize=1024)
-def _plan(pat: PatternSpec, ns: tuple[int, int, int], req_parts: tuple[int, ...]):
-    """How :func:`_decide` builds each layout's class masks when the
-    required vertices lie in ``req_parts``.
-
-    Returns (order, part masks, layouts).  A part mask is one part's
-    vertices narrowed to the neighbours of some required vertices, given
-    as (part, its full mask, the (part, position in ``req_parts``) of each
-    narrowing vertex); one call reads each once.  Per layout that puts the
-    required vertices in distinct classes: the layout, per class its
-    (part mask index, bit offset) pairs and the members it still needs, and
-    per required vertex its (class, bit offset).  A required vertex narrows
-    every class but its own.  For p >= 1 every class is one part, so each
-    part has one mask and the layouts only assign them to classes; for
-    p = 0 the part without an endpoint has one mask per endpoint class it
-    can join."""
-    sizes, order, layouts = _layouts(pat, ns)
-    keys, plans = [], []
-    for layout in layouts:
-        spans, _, where, _ = layout
-        home = tuple(where[i - 1] for i in req_parts)
-        classes = [c for c, _ in home]
-        if len(set(classes)) < len(classes):
-            continue  # two required vertices in one class: such copies avoid their edge
-        build = []
-        for c, span in enumerate(spans):
-            by = tuple((i, t) for t, (i, c2) in enumerate(zip(req_parts, classes)) if c2 != c)
-            for j, _ in span:
-                if (j, by) not in keys:
-                    keys.append((j, by))
-            build.append(tuple((keys.index((j, by)), off) for j, off in span))
-        need = tuple(s - classes.count(c) for c, s in enumerate(sizes))
-        plans.append((layout, tuple(build), need, home))
-    return order, tuple((j, (1 << ns[j - 1]) - 1, by) for j, by in keys), tuple(plans)
-
-
-def _decide(g, pat: PatternSpec, req_parts=(), req_indices=()):
-    """(vertices by class, class masks) of the first embedding over all
-    layouts that uses the required vertices v_i^a, i from ``req_parts`` and
-    a from ``req_indices``, in g plus the edges joining them; None when
-    there is none.
-
-    Each required vertex narrows the other classes to its neighbours in g,
-    so its row into each part is read once per call, and each layout's
-    class masks are laid together from these per-part masks as
-    :func:`_plan` says.  A layout where some class has fewer candidates
-    than members still to pick is skipped before :func:`_fill`, which could
-    not fill it either: picks only narrow the masks.  The masks hold no
-    required vertex; the required vertices join the chosen members at the
-    end, which puts back the one edge g lacks, between them.  Picked
-    members are never required vertices, so every other row is read from g
-    as is."""
-    nbr = g.neighbors_mask
-    order, parts, plans = _plan(pat, g.part_sizes, req_parts)
-    masks = []
-    for j, m, by in parts:
-        for i, t in by:
-            m &= nbr(i, req_indices[t], j)
-        masks.append(m)
-    for layout, build, need, home in plans:
-        cand = []
-        for spec, n in zip(build, need):
-            m = 0
-            for x, off in spec:
-                m |= masks[x] << off
-            if m.bit_count() < n:
-                break
-            cand.append(m)
-        else:
-            chosen = _fill(nbr, layout, order, cand, need)
-            if chosen is not None:
-                for (c, off), a in zip(home, req_indices):
-                    chosen[c] |= 1 << (off + a - 1)
-                return layout[-1], chosen
+    u and v narrow each other's class to their neighbours in g and every
+    other class to their common ones.  A layout where some class has fewer
+    candidates than members still to pick is skipped before :func:`_fill`,
+    which could not fill it either: picks only narrow the masks.  The masks
+    hold neither endpoint, since g lacks uv; both join the chosen members at
+    the end, which puts back uv.  Picked members are never endpoints, so
+    every other row is read from g as is."""
+    adj = g.rows
+    sizes, order, layouts, verts = _layouts(pat, g.part_sizes)
+    if u is not None:
+        off = g.offsets
+        xu, xv = off[u.part - 1] + u.index - 1, off[v.part - 1] + v.index - 1
+        both = adj[xu] & adj[xv]
+    for full, where in layouts:
+        cand, need = full, sizes
+        if u is not None:
+            cu, cv = where[u.part - 1], where[v.part - 1]
+            if cu == cv:
+                continue  # copies with u and v in one class avoid uv
+            cand, need = [m & both for m in full], list(sizes)
+            cand[cu], cand[cv] = full[cu] & adj[xv], full[cv] & adj[xu]
+            need[cu] -= 1
+            need[cv] -= 1
+        if not all(map(operator.ge, map(int.bit_count, cand), need)):
+            continue
+        chosen = _fill(adj, order, cand, need)
+        if chosen is not None:
+            if u is not None:
+                chosen[cu] |= 1 << xu
+                chosen[cv] |= 1 << xv
+            return verts, chosen
     return None
 
 
@@ -259,26 +184,16 @@ def _witness(found) -> Optional[Embedding]:
     """The embedding named by a result of :func:`_decide`, or None."""
     if found is None:
         return None
-    refs, chosen = found
+    verts, chosen = found
     classes = []
-    for rs, m in zip(refs, chosen):
+    for m in chosen:
         members = []
         while m:
             low = m & -m
-            members.append(rs[low.bit_length() - 1])
+            members.append(verts[low.bit_length() - 1])
             m ^= low
         classes.append(frozenset(members))
     return Embedding(tuple(classes))
-
-
-def _row_table(g, layouts):
-    """Per layout, class and bit position: that vertex's rows onto every
-    class, -1 onto its own (a vertex never narrows its own class)."""
-    nbr = g.neighbors_mask
-    return [tuple(tuple(tuple(-1 if c2 == c else _row(nbr, x.part, x.index, span)
-                              for c2, span in enumerate(spans)) for x in rs)
-                  for c, rs in enumerate(refs))
-            for spans, _, _, refs in layouts]
 
 
 def _uncompleted(g, pat: PatternSpec):
@@ -289,31 +204,31 @@ def _uncompleted(g, pat: PatternSpec):
     the run's mask.  Per run and layout one search (:func:`_completed`)
     finds every v of the run that some copy through u and v admits; a
     layout that puts u and v in one class is skipped, its copies avoid uv.
-    Every row comes from a table built once per call.
     """
-    sizes, order, layouts = _layouts(pat, g.part_sizes)
-    tables = _row_table(g, layouts)
+    sizes, order, layouts, _ = _layouts(pat, g.part_sizes)
+    adj, off = g.rows, g.offsets
     pos = 0
     for i, a, j, mask in nonedge_runs(g):
+        x = off[i - 1] + a - 1
         left = mask
-        for (_, full, where, _), table in zip(layouts, tables):
+        for full, where in layouts:
             if not left:
                 break
-            (cu, off_u), (cv, off_v) = where[i - 1], where[j - 1]
+            cu, cv = where[i - 1], where[j - 1]
             if cu == cv:
                 continue
-            bu = off_u + a - 1
-            cand = [m & r for m, r in zip(full, table[cu][bu])]
-            cand[cu] ^= 1 << bu
-            left &= ~(_completed(table, sizes, order, cand, cu, cv, left << off_v) >> off_v)
+            cand = [m & adj[x] for m in full]
+            cand[cu] = full[cu] ^ (1 << x)
+            done = _completed(adj, sizes, order, cand, cu, cv, full[cv], left << off[j - 1])
+            left &= ~(done >> off[j - 1])
         for b in iter_bits(left):
             yield pos + (mask & ((1 << (b - 1)) - 1)).bit_count(), VertexRef(i, a), VertexRef(j, b)
         pos += mask.bit_count()
 
 
-def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
-    """The bits of ``goal`` (second endpoints v in class cv) whose edge to
-    u, in class cu, completes a copy in this layout.
+def _completed(adj, sizes, order, cand, cu, cv, own: int, goal: int) -> int:
+    """The bits of ``goal`` (second endpoints v in class cv, whose mask is
+    ``own``) whose edge to u, in class cu, completes a copy in this layout.
 
     One fill serves every v at once: W, the v's still possible, starts at
     ``goal`` and each pick outside cv narrows it to the pick's neighbours,
@@ -321,11 +236,11 @@ def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
     arrives narrowed to u's neighbours and without u; a v is in no mask,
     so u's and v's classes need one member fewer.  A branch whose W holds
     no v still open is cut, and the search stops once all are done.  Once
-    W holds a single v its rows narrow the masks, as a fill for that one
-    nonedge would be narrowed from the start.
+    W holds a single v its row narrows the masks, as a fill for that one
+    nonedge would be narrowed from the start; ORed with ``own``, so v
+    leaves its own class alone.
     """
     need = [s - (c in (cu, cv)) for c, s in enumerate(sizes)]
-    vrows = table[cv]
     done = 0
 
     def rec(k: int, cand: list[int], left: int, pool: int, w0: int) -> bool:
@@ -343,19 +258,19 @@ def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
                 return False
             low = pool & -pool
             pool ^= low
-            rows = table[c][low.bit_length() - 1]
+            row = adj[low.bit_length() - 1]
             if c != cv:
-                w &= rows[cv]
+                w &= row
                 if not w:
                     continue
             rest = pool
             if w != w0 and not w & (w - 1):
-                vrow = vrows[w.bit_length() - 1]
-                rows = [r & q for r, q in zip(rows, vrow)]
-                rest &= vrow[c]
+                vrow = adj[w.bit_length() - 1] | own
+                row &= vrow
+                rest &= vrow
             narrowed = list(cand)
             for c2 in order[k + 1:]:
-                m2 = cand[c2] & rows[c2]
+                m2 = cand[c2] & row
                 if m2.bit_count() < need[c2]:
                     break
                 narrowed[c2] = m2
@@ -365,24 +280,23 @@ def _completed(table, sizes, order, cand, cu, cv, goal: int) -> int:
         return False
 
     if not goal & (goal - 1):
-        cand = [m & r for m, r in zip(cand, vrows[goal.bit_length() - 1])]
+        vrow = adj[goal.bit_length() - 1] | own
+        cand = [m & vrow for m in cand]
     c = order[0]
     rec(0, cand, need[c], cand[c], goal)
     return done
 
 
-def _fill(nbr, layout, order, cand, need) -> Optional[list[int]]:
+def _fill(adj, order, cand, need) -> Optional[list[int]]:
     """Class masks of the first embedding in exploration order, or None.
 
     Classes are filled in ``order`` and members in ascending bit order, so
     the choices come in lexicographic order.  ``cand`` holds each class's
     candidates, at least ``need`` of them.  A pick narrows the masks of the
-    later classes and is dropped as soon as one of them falls below its
-    need, so the last class always has enough candidates when its turn
-    comes and takes its lowest ones without a search.  A picked vertex's
-    rows are read from g one class at a time, as they are needed.
+    later classes by its row and is dropped as soon as one of them falls
+    below its need, so the last class always has enough candidates when its
+    turn comes and takes its lowest ones without a search.
     """
-    spans, _, _, refs = layout
     chosen = [0] * len(cand)
     last = len(order) - 1
 
@@ -401,11 +315,10 @@ def _fill(nbr, layout, order, cand, need) -> Optional[list[int]]:
         while pool.bit_count() >= left:
             low = pool & -pool
             pool ^= low
-            x = refs[c][low.bit_length() - 1]
-            i, a = x.part, x.index
+            row = adj[low.bit_length() - 1]
             narrowed = list(cand)
             for c2 in order[k + 1:]:
-                m2 = cand[c2] & _row(nbr, i, a, spans[c2])
+                m2 = cand[c2] & row
                 if m2.bit_count() < need[c2]:
                     break
                 narrowed[c2] = m2

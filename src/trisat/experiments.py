@@ -17,7 +17,10 @@ An experiment spec is a JSON document::
      ]}
 
 The schema is validated before anything runs and unknown fields are
-rejected.  Rows come out in spec order with the fixed header
+rejected.  So is a run's pattern, and a construction run whose family
+refuses its parameters, does not read one of them, or (without
+``force``) fails its record's hypothesis.  Rows come out in spec order
+with the fixed header
 
     action,params,construction_edges,formula_value,greedy_min,exact_value_or_blank,hypothesis_satisfied
 
@@ -121,6 +124,18 @@ def _validate_run(run: object, k: int) -> None:
                 raise ExperimentError(f"{where}: force must be a boolean")
         elif type(val) is not int:
             raise ExperimentError(f"{where}: param {key} must be an integer")
+    try:
+        if "pattern" in params:
+            PatternSpec(*params["pattern"])
+        if "construction" in params:
+            rec = constructions.formula_for(
+                params["construction"], params["n1"], params["n2"], params["n3"],
+                **{k: params.get(k) for k in ("l", "m", "p", "variant")})
+            if not (rec.hypothesis_satisfied or params.get("force")):
+                raise ValueError(f"{rec.name} hypothesis fails: {rec.note} "
+                                 "(set force to build anyway)")
+    except ValueError as exc:
+        raise ExperimentError(f"{where}: {exc}") from None
 
 
 def _params_token(params: dict) -> str:

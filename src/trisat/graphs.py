@@ -4,9 +4,13 @@ Vertices are addressed as (part, index) with parts numbered 1..3 and
 1-based vertex indices, so the j-th vertex of part i is ``VertexRef(i, j)``.
 Edges join vertices of distinct parts only; within-part pairs never exist.
 
-Adjacency is stored as one bitmask row per vertex per opposite part
-(bit b-1 of ``neighbors_mask(i, a, j)`` is set iff v_i^a ~ v_j^b), kept in
-both directions so neighbourhood intersections are cheap either way.
+Adjacency is stored as one int row per vertex over a single vertex
+numbering: the vertices of part 1, then part 2, then part 3, each part in
+index order, so v_i^a sits at position ``offsets[i-1] + a - 1`` and bit y
+of ``rows[x]`` is set iff the vertices at positions x and y are adjacent.
+A neighbourhood intersection is one AND whatever parts it spans;
+``neighbors_mask(i, a, j)`` reads part j's slice of v_i^a's row (bit b-1
+set iff v_i^a ~ v_j^b).
 
 A published ``TripartiteGraph`` is an immutable value and safe to share;
 ``GraphBuilder`` is the single-owner mutable stage used while assembling
@@ -77,29 +81,47 @@ class _GraphReader:
     """Read-only surface shared by :class:`TripartiteGraph` and
     :class:`GraphBuilder`, so read-only algorithms run against either."""
 
-    __slots__ = ("part_sizes", "_rows", "_num_edges")
+    __slots__ = ("part_sizes", "_offsets", "_adj", "_num_edges")
+
+    def __init__(self, part_sizes: tuple[int, int, int], adj, num_edges: int):
+        self.part_sizes = part_sizes
+        self._offsets = (0, part_sizes[0], part_sizes[0] + part_sizes[1])
+        self._adj = adj
+        self._num_edges = num_edges
 
     @property
     def num_edges(self) -> int:
         return self._num_edges
 
+    @property
+    def offsets(self) -> tuple[int, int, int]:
+        """The position of each part's first vertex in the rows' numbering."""
+        return self._offsets
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """One adjacency row per vertex position (see the module docstring)."""
+        return self._adj
+
     def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
         """Bitmask of the neighbours of v_part^index inside other_part."""
-        return self._rows[(part, other_part)][index - 1]
+        return ((self._adj[self._offsets[part - 1] + index - 1] >> self._offsets[other_part - 1])
+                & ((1 << self.part_sizes[other_part - 1]) - 1))
 
     def check_vertex(self, v: VertexRef) -> None:
         if v.index > self.part_sizes[v.part - 1]:
             raise GraphError(f"{v} out of range for part sizes {self.part_sizes}")
 
-    def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
-        self.check_vertex(u)
+    def _pos(self, v: VertexRef) -> int:
+        """v's position in the vertex numbering of the rows."""
         self.check_vertex(v)
-        return u.part != v.part and bool((self._rows[(u.part, v.part)][u.index - 1]
-                                          >> (v.index - 1)) & 1)
+        return self._offsets[v.part - 1] + v.index - 1
+
+    def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
+        return bool((self._adj[self._pos(u)] >> self._pos(v)) & 1)
 
     def degree(self, v: VertexRef) -> int:
-        self.check_vertex(v)
-        return sum(_split_counts(self, v.part, v.index).values())
+        return self._adj[self._pos(v)].bit_count()
 
     def edges(self) -> list[tuple[VertexRef, VertexRef]]:
         """All edges in canonical order."""
@@ -115,12 +137,6 @@ class TripartiteGraph(_GraphReader):
 
     __slots__ = ()
 
-    def __init__(self, part_sizes: tuple[int, int, int],
-                 rows: dict[tuple[int, int], tuple[int, ...]], num_edges: int):
-        self.part_sizes = part_sizes
-        self._rows = rows
-        self._num_edges = num_edges
-
     @classmethod
     def from_edges(cls, part_sizes: tuple[int, int, int],
                    edges: "list[tuple[VertexRef, VertexRef]]") -> "TripartiteGraph":
@@ -135,11 +151,11 @@ class TripartiteGraph(_GraphReader):
     def induced(self, keep: "list[int]") -> "TripartiteGraph":
         """The subgraph induced on the vertices whose bits are set in
         ``keep`` (one mask per part); vertices keep their indices."""
-        rows = {(i, j): tuple(r & keep[j - 1] if (keep[i - 1] >> a) & 1 else 0
-                              for a, r in enumerate(vals))
-                for (i, j), vals in self._rows.items()}
-        num_edges = sum(r.bit_count() for p in PAIR_ORDER for r in rows[p])
-        return TripartiteGraph(self.part_sizes, rows, num_edges)
+        kept = 0
+        for i in PARTS:
+            kept |= (keep[i - 1] & self.part_mask(i)) << self._offsets[i - 1]
+        adj = tuple(r & kept if (kept >> x) & 1 else 0 for x, r in enumerate(self._adj))
+        return TripartiteGraph(self.part_sizes, adj, sum(r.bit_count() for r in adj) // 2)
 
     def vertices(self) -> list[VertexRef]:
         return [VertexRef(i, a) for i in PARTS
@@ -164,11 +180,10 @@ class TripartiteGraph(_GraphReader):
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TripartiteGraph):
             return NotImplemented
-        return (self.part_sizes == other.part_sizes
-                and all(self._rows[p] == other._rows[p] for p in PAIR_ORDER))
+        return self.part_sizes == other.part_sizes and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self.part_sizes,) + tuple(self._rows[p] for p in PAIR_ORDER))
+        return hash((self.part_sizes, self._adj))
 
     def __repr__(self) -> str:
         return f"TripartiteGraph(parts={self.part_sizes}, edges={self._num_edges})"
@@ -180,42 +195,46 @@ class GraphBuilder(_GraphReader):
     __slots__ = ()
 
     def __init__(self, part_sizes: tuple[int, int, int]):
-        self.part_sizes = _check_sizes(part_sizes)
-        self._rows = {(i, j): [0] * self.part_sizes[i - 1]
-                      for i in PARTS for j in PARTS if i != j}
-        self._num_edges = 0
+        sizes = _check_sizes(part_sizes)
+        super().__init__(sizes, [0] * sum(sizes), 0)
+
+    @property
+    def rows(self) -> tuple[int, ...]:
+        """A snapshot of the rows; later edits do not show in it."""
+        return tuple(self._adj)
 
     @classmethod
     def from_graph(cls, g: TripartiteGraph) -> "GraphBuilder":
         b = cls(g.part_sizes)
-        b._rows = {key: list(rows) for key, rows in g._rows.items()}
+        b._adj = list(g._adj)
         b._num_edges = g.num_edges
         return b
 
-    def _check_pair(self, u: VertexRef, v: VertexRef) -> bool:
-        """Whether uv is an edge; raises unless u and v could be joined."""
+    def _pair(self, u: VertexRef, v: VertexRef) -> tuple[int, int]:
+        """The positions of u and v; raises unless they could be joined."""
         if u.part == v.part:
             raise GraphError(f"{u} and {v} lie in the same part")
-        return self.has_edge(u, v)
+        return self._pos(u), self._pos(v)
 
     def add_edge(self, u: VertexRef, v: VertexRef) -> None:
-        if self._check_pair(u, v):
+        x, y = self._pair(u, v)
+        if (self._adj[x] >> y) & 1:
             raise GraphError(f"edge {u}{v} already present")
-        self._rows[(u.part, v.part)][u.index - 1] |= 1 << (v.index - 1)
-        self._rows[(v.part, u.part)][v.index - 1] |= 1 << (u.index - 1)
+        self._adj[x] |= 1 << y
+        self._adj[y] |= 1 << x
         self._num_edges += 1
 
     def remove_edge(self, u: VertexRef, v: VertexRef) -> None:
-        if not self._check_pair(u, v):
+        x, y = self._pair(u, v)
+        if not (self._adj[x] >> y) & 1:
             raise GraphError(f"edge {u}{v} not present")
-        self._rows[(u.part, v.part)][u.index - 1] &= ~(1 << (v.index - 1))
-        self._rows[(v.part, u.part)][v.index - 1] &= ~(1 << (u.index - 1))
+        self._adj[x] ^= 1 << y
+        self._adj[y] ^= 1 << x
         self._num_edges -= 1
 
     def build(self) -> TripartiteGraph:
         """Publish an immutable snapshot; the builder stays usable."""
-        rows = {key: tuple(vals) for key, vals in self._rows.items()}
-        return TripartiteGraph(self.part_sizes, rows, self._num_edges)
+        return TripartiteGraph(self.part_sizes, tuple(self._adj), self._num_edges)
 
 
 # -- module-level operations --------------------------------------------------

@@ -113,11 +113,12 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     of the pattern in the complete host, deduplicated and sorted.  The
     class-to-part layouts are the ones the containment search explores."""
     idx = {e: k for k, e in enumerate(host_edges(sizes))}
-    class_sizes, _, layouts = _layouts(pat, tuple(sizes))
+    class_sizes, _, layouts, verts = _layouts(pat, tuple(sizes))
     masks: set[int] = set()
-    for *_, refs in layouts:
+    for full, _ in layouts:
+        classes = [[verts[b - 1] for b in iter_bits(m)] for m in full]
         for sel in itertools.product(*(itertools.combinations(vs, k)
-                                       for vs, k in zip(refs, class_sizes))):
+                                       for vs, k in zip(classes, class_sizes))):
             mask = 0
             for s1, s2 in itertools.combinations(sel, 2):
                 for u, v in itertools.product(s1, s2):

@@ -251,10 +251,28 @@ def test_closed_stdout_exits_quietly():
     # the reader is gone before the result is written: no traceback and no
     # error object sent after it, only exit code 2
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
-    proc = subprocess.Popen([sys.executable, "-m", "trisat.cli", "sat", "--host", "4,4,4",
-                             "--pattern", "1,1,1", "--method", "greedy", "--trials", "3"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    proc.stdout.close()
-    stderr = proc.stderr.read()
-    assert proc.wait(timeout=60) == 2
+    with subprocess.Popen([sys.executable, "-m", "trisat.cli", "sat", "--host", "4,4,4",
+                           "--pattern", "1,1,1", "--method", "greedy", "--trials", "3"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        assert proc.wait(timeout=60) == 2
     assert stderr == b""
+
+
+@pytest.mark.parametrize("argv, unread", [
+    (["--construction", "c4", "--n", "3,3,3", "--l", "5"], "l"),
+    (["--construction", "1", "--n", "5,5,5", "--l", "1", "--m", "1", "--p", "7"], "p"),
+    (["--construction", "3", "--n", "5,5,5", "--l", "2", "--m", "2", "--p", "1",
+      "--variant", "3"], "variant"),
+])
+def test_construct_rejects_unread_params(tmp_path, capsys, argv, unread):
+    out = tmp_path / "g.edges"
+    code, stdout, _ = run(capsys, "construct", *argv, "--out", str(out))
+    assert code == 2
+    assert json.loads(stdout)["error"].endswith(f"does not read {unread}")
+    assert not out.exists()
+    # construction 2 reads its variant
+    code, _, _ = run(capsys, "construct", "--construction", "2", "--n", "5,5,5",
+                     "--l", "2", "--m", "2", "--variant", "3", "--out", str(out))
+    assert code == 0 and out.exists()

@@ -85,3 +85,38 @@ def test_compare_action_fills_all_columns():
     assert row[4] != "" and int(row[4]) >= 6  # greedy minimum
     assert row[5] == "6"   # exact (host fits the guard)
     assert row[6] == "true"
+
+
+_FIRST = {"action": "construct",
+          "params": {"construction": "c4", "n1": 2, "n2": 2, "n3": 2}}
+
+
+@pytest.mark.parametrize("bad, why", [
+    ({"action": "greedy", "params": {"n1": 3, "n2": 3, "n3": 3, "pattern": [1, 2, 3],
+                                     "trials": 1, "seed": 0}}, "l >= m >= p"),
+    ({"action": "construct", "params": {"construction": "1", "l": 1, "m": 2,
+                                        "n1": 5, "n2": 5, "n3": 5}}, "l >= m >= 1"),
+    ({"action": "construct", "params": {"construction": "1", "l": 3, "m": 1,
+                                        "n1": 5, "n2": 5, "n3": 5}}, "hypothesis fails"),
+    ({"action": "compare", "params": {"construction": "c4", "l": 5, "n1": 2, "n2": 2,
+                                      "n3": 2, "trials": 1, "seed": 0}}, "does not read l"),
+    ({"action": "construct", "params": {"construction": "1", "l": 1, "m": 1, "p": 7,
+                                        "n1": 5, "n2": 5, "n3": 5}}, "does not read p"),
+    ({"action": "construct", "params": {"construction": "3", "l": 2, "m": 2, "p": 1,
+                                        "variant": 3, "n1": 5, "n2": 5, "n3": 5}},
+     "does not read variant"),
+])
+def test_invalid_run_refused_before_any_run(tmp_path, bad, why):
+    out = tmp_path / "first.edges"
+    with pytest.raises(ExperimentError, match=r"^runs\[1\]: .*" + why):
+        run_table(spec_of(dict(_FIRST, out=str(out)), bad))
+    assert not out.exists()
+
+
+def test_force_admits_failed_hypothesis_and_variant_reads():
+    forced = {"action": "construct", "params": {"construction": "1", "l": 3, "m": 1,
+                                                "n1": 5, "n2": 5, "n3": 5, "force": True}}
+    variant = {"action": "construct", "params": {"construction": "2", "l": 2, "m": 2,
+                                                 "variant": 3, "n1": 5, "n2": 5, "n3": 5}}
+    rows = run_table(spec_of(forced, variant)).splitlines()
+    assert [r.split(",")[-1] for r in rows[1:]] == ["false", "true"]

@@ -166,3 +166,66 @@ def test_edge_count_consistency_randomized():
         for u, v in g.edges():
             per_pair[(u.part, v.part)] = per_pair.get((u.part, v.part), 0) + 1
         assert sum(per_pair.values()) == g.num_edges
+
+
+def test_edge_order_does_not_change_the_value():
+    rnd = random.Random(43)
+    for _ in range(30):
+        g = random_graph(rnd, random_sizes(rnd, 6), density=rnd.random())
+        edges = g.edges()
+        graphs = []
+        for _ in range(2):
+            rnd.shuffle(edges)
+            b = GraphBuilder(g.part_sizes)
+            for u, v in edges:
+                b.add_edge(*((u, v) if rnd.random() < 0.5 else (v, u)))
+            graphs.append(b.build())
+        assert graphs[0] == graphs[1] == g
+        assert hash(graphs[0]) == hash(graphs[1]) == hash(g)
+        for u, v in host_nonedges(g)[:5]:
+            assert g.with_edge(u, v) != g
+            assert g.with_edge(u, v).without_edge(v, u) == g
+        for u, v in edges[:5]:
+            assert g.without_edge(u, v).with_edge(u, v) == g
+
+
+def test_rows_and_neighbor_masks_agree_with_edges():
+    rnd = random.Random(44)
+    for _ in range(30):
+        g = random_graph(rnd, random_sizes(rnd, 6), density=rnd.random())
+        edges = set(g.edges())
+        verts = g.vertices()
+        for x, u in enumerate(verts):
+            assert g.offsets[u.part - 1] + u.index - 1 == x
+            for y, v in enumerate(verts):
+                adjacent = (u, v) in edges or (v, u) in edges
+                assert g.has_edge(u, v) == adjacent
+                assert bool((g.rows[x] >> y) & 1) == adjacent
+                if u.part != v.part:
+                    assert bool((g.neighbors_mask(u.part, u.index, v.part)
+                                 >> (v.index - 1)) & 1) == adjacent
+            assert g.degree(u) == sum(u in e for e in edges)
+        for i in (1, 2, 3):
+            for a in range(1, g.part_sizes[i - 1] + 1):
+                for j in (1, 2, 3):
+                    if j != i:
+                        assert g.neighbors_mask(i, a, j) >> g.part_sizes[j - 1] == 0
+
+
+def test_induced_equals_rebuild_from_kept_edges():
+    rnd = random.Random(45)
+    for _ in range(40):
+        g = random_graph(rnd, random_sizes(rnd, 6), density=rnd.random())
+        # keep masks may carry bits beyond their part's size; those name no vertex
+        keep = [rnd.getrandbits(n + 3) for n in g.part_sizes]
+
+        def kept(v):
+            return (keep[v.part - 1] >> (v.index - 1)) & 1
+
+        h = g.induced(keep)
+        expected = GraphBuilder(g.part_sizes)
+        for u, v in g.edges():
+            if kept(u) and kept(v):
+                expected.add_edge(u, v)
+        assert h == expected.build() and hash(h) == hash(expected.build())
+        assert h.num_edges == len(h.edges())
