@@ -56,8 +56,11 @@ def _parse_params(text: str) -> dict:
         if "=" not in item:
             raise _CliError(f"expected k=v, got {item!r}")
         key, val = item.split("=", 1)
+        key = key.strip()
+        if key in out:
+            raise _CliError(f"parameter {key!r} given twice")
         try:
-            out[key.strip()] = decimal_ints([val.strip()])[0]
+            out[key] = decimal_ints([val.strip()])[0]
         except ValueError:
             raise _CliError(f"parameter {key!r} must be a decimal integer, got {val!r}") from None
     return out

@@ -29,8 +29,10 @@ with the fixed header
 construction and additionally runs greedy (always) and exact (when the
 host has at most 16 edges) for the construction's own pattern.  A run
 may carry an optional ``out`` path: construction runs write the built
-graph there (edge-list format), search runs their result JSON.  Given
-fixed seeds the output is byte-for-byte reproducible.
+graph there (edge-list format), search runs their result JSON.  These
+files are written after the last run succeeds, so a run that raises
+leaves none behind.  Given fixed seeds the output is byte-for-byte
+reproducible.
 """
 
 from __future__ import annotations
@@ -149,9 +151,11 @@ def _params_token(params: dict) -> str:
 
 
 def run_table(spec_obj: object) -> str:
-    """Execute a validated spec and render the CSV text (LF line endings)."""
+    """Execute a validated spec and render the CSV text (LF line endings).
+    The runs' ``out`` files are written only once every run has succeeded."""
     spec = parse_spec(spec_obj)
     lines = [CSV_HEADER]
+    outputs = []  # (path, bytes) in run order
     for run in spec.runs:
         action, params = run["action"], run["params"]
         out_path = run.get("out")
@@ -169,8 +173,7 @@ def run_table(spec_obj: object) -> str:
             row["formula_value"] = str(rec.value)
             row["hypothesis_satisfied"] = str(rec.hypothesis_satisfied).lower()
             if out_path:
-                with open(out_path, "wb") as fh:
-                    fh.write(serialize(g, "edges"))
+                outputs.append((out_path, serialize(g, "edges")))
             if action == "compare":
                 pat = constructions.pattern_for(which, l=l, m=m, p=p)
                 res = sat_greedy(host, pat, trials=params["trials"], seed=params["seed"])
@@ -188,11 +191,12 @@ def run_table(spec_obj: object) -> str:
                 res = sat_greedy(host, pat, trials=params["trials"], seed=params["seed"])
                 row["greedy_min"] = str(res.value)
             if out_path:
-                with open(out_path, "w", encoding="ascii") as fh:
-                    json.dump(res.to_json_obj(), fh)
-                    fh.write("\n")
+                outputs.append((out_path, (json.dumps(res.to_json_obj()) + "\n").encode("ascii")))
         lines.append(",".join([action, _params_token(params),
                                row["construction_edges"], row["formula_value"],
                                row["greedy_min"], row["exact_value_or_blank"],
                                row["hypothesis_satisfied"]]))
+    for path, payload in outputs:
+        with open(path, "wb") as fh:
+            fh.write(payload)
     return "\n".join(lines) + "\n"

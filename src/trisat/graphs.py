@@ -10,7 +10,10 @@ index order, so v_i^a sits at position ``offsets[i-1] + a - 1`` and bit y
 of ``rows[x]`` is set iff the vertices at positions x and y are adjacent.
 A neighbourhood intersection is one AND whatever parts it spans;
 ``neighbors_mask(i, a, j)`` reads part j's slice of v_i^a's row (bit b-1
-set iff v_i^a ~ v_j^b).
+set iff v_i^a ~ v_j^b).  Split degrees are read the same way: one pass
+ANDs each row with the three part spans, and ``iso_equivalent`` maps g's
+positions onto h's positions of equal split degree, comparing row bits on
+the pairs already mapped.
 
 A published ``TripartiteGraph`` is an immutable value and safe to share;
 ``GraphBuilder`` is the single-owner mutable stage used while assembling
@@ -276,9 +279,11 @@ def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
     return _walk_rows(nonedge_runs(g))
 
 
-def _split_counts(g: _GraphReader, i: int, a: int) -> dict[int, int]:
-    """Neighbour counts of v_i^a per other part, in ascending part order."""
-    return {j: g.neighbors_mask(i, a, j).bit_count() for j in PARTS if j != i}
+def _signatures(g: _GraphReader) -> list[list[tuple[int, int, int]]]:
+    """Per part, each vertex's neighbour counts in parts 1, 2, 3 (0 in its own)."""
+    s1, s2, s3 = (((1 << n) - 1) << o for n, o in zip(g.part_sizes, g.offsets))
+    return [[((r & s1).bit_count(), (r & s2).bit_count(), (r & s3).bit_count())
+             for r in g.rows[o:o + n]] for n, o in zip(g.part_sizes, g.offsets)]
 
 
 @dataclass(frozen=True)
@@ -293,11 +298,12 @@ class DegreeProfile:
 
 
 def degree_profile(g: TripartiteGraph) -> DegreeProfile:
-    split = {VertexRef(i, a): _split_counts(g, i, a)
-             for i in PARTS for a in range(1, g.part_sizes[i - 1] + 1)}
-    delta = tuple(min(sum(c.values()) for v, c in split.items() if v.part == i)
-                  for i in PARTS)
-    return DegreeProfile(delta=delta, split=split)
+    sigs = _signatures(g)
+    # part i's two other parts are j < k
+    split = {VertexRef(i, a): {j: s[j - 1], k: s[k - 1]}
+             for i, j, k, part in zip(PARTS, (2, 1, 1), (3, 3, 2), sigs)
+             for a, s in enumerate(part, 1)}
+    return DegreeProfile(delta=tuple(min(map(sum, part)) for part in sigs), split=split)
 
 
 def iso_invariant(g: TripartiteGraph) -> tuple:
@@ -305,10 +311,9 @@ def iso_invariant(g: TripartiteGraph) -> tuple:
     part, its size and the sorted multiset of its vertices' sorted
     split-degree tuples, the parts in sorted order.  Graphs with different
     values are never isomorphic; equal values decide nothing."""
-    return tuple(sorted(
-        (n, tuple(sorted(tuple(sorted(_split_counts(g, i, a).values()))
-                         for a in range(1, n + 1))))
-        for i, n in zip(PARTS, g.part_sizes)))
+    # sorted(s) puts the vertex's own-part 0 first, then its other two counts
+    return tuple(sorted((len(part), tuple(sorted(tuple(sorted(s)[1:]) for s in part)))
+                        for part in _signatures(g)))
 
 
 def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
@@ -316,72 +321,47 @@ def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
 
     True iff some bijection composed of (a) a permutation of equal-size
     parts and (b) within-part vertex relabelings maps E(g) onto E(h).
-    Exact backtracking over vertex images, pruned by split-degree
-    signatures; intended for parts of size at most ~12.
+    Each graph's signatures are read once; every part permutation whose
+    per-part signature multisets agree runs ``_iso_backtrack``, which maps
+    g's positions in order, part 1 first.  Exact; for parts up to ~12.
     """
-    if sorted(g.part_sizes) != sorted(h.part_sizes):
+    if sorted(g.part_sizes) != sorted(h.part_sizes) or g.num_edges != h.num_edges:
         return False
-    if g.num_edges != h.num_edges:
-        return False
-    sig_g = {i: [tuple(_split_counts(g, i, a).values())
-                 for a in range(1, g.part_sizes[i - 1] + 1)] for i in PARTS}
-    split_h = {i: [_split_counts(h, i, x) for x in range(1, h.part_sizes[i - 1] + 1)]
-               for i in PARTS}
-
-    for perm in itertools.permutations(PARTS):
-        part_map = {i: perm[i - 1] for i in PARTS}
-        if any(g.part_sizes[i - 1] != h.part_sizes[part_map[i] - 1] for i in PARTS):
-            continue
-        # h's split-degree signatures, read in g's part labelling so they are
-        # comparable under part_map; the multisets must agree per part
-        # before any backtracking is attempted
-        sigs_h: dict[int, dict[tuple, list[int]]] = {}
-        for i in PARTS:
-            hi = [tuple(counts[part_map[j]] for j in PARTS if j != i)
-                  for counts in split_h[part_map[i]]]
-            if sorted(hi) != sorted(sig_g[i]):
+    sig_g, sig_h = _signatures(g), _signatures(h)
+    for perm in itertools.permutations(range(3)):
+        # g's part i+1 goes to h's part perm[i]+1, unless sizes or signatures differ
+        c1, c2, c3 = perm
+        pools = []
+        for part, k in zip(sig_g, perm):
+            read = [(s[c1], s[c2], s[c3]) for s in sig_h[k]]
+            if sorted(read) != sorted(part):
                 break
-            sigs_h[i] = by_sig = {}
-            for x, sig in enumerate(hi, 1):
-                by_sig.setdefault(sig, []).append(x)
+            pools += [[h.offsets[k] + y for y, t in enumerate(read) if t == s] for s in part]
         else:
-            if _iso_backtrack(g, h, part_map, sig_g, sigs_h):
+            if _iso_backtrack(g.rows, h.rows, pools):
                 return True
     return False
 
 
-def _iso_backtrack(g: TripartiteGraph, h: TripartiteGraph, part_map: dict[int, int],
-                   sig_g: dict[int, list[tuple]],
-                   sigs_h: dict[int, dict[tuple, list[int]]]) -> bool:
-    order = [(i, a) for i in PARTS for a in range(1, g.part_sizes[i - 1] + 1)]
-    mapping: dict[tuple[int, int], int] = {}
-    used = {i: set() for i in PARTS}
+def _iso_backtrack(rows_g: tuple[int, ...], rows_h: tuple[int, ...], pools: list) -> bool:
+    """Map g's positions 0, 1, ... onto distinct h positions, x onto one of
+    ``pools[x]`` (the positions of x's image part whose signature, read in
+    g's part order, is x's): y is kept when h's row y on the positions taken
+    is the image of g's row x on the positions mapped.  Two vertices of one
+    part have a 0 bit in both graphs, so no part test is needed."""
+    image: list[int] = []
 
-    def ok(i: int, a: int, x: int) -> bool:
-        # adjacency with every already-mapped vertex must match exactly
-        for (j, b), y in mapping.items():
-            if j == i:
-                continue
-            ge = (g.neighbors_mask(i, a, j) >> (b - 1)) & 1
-            he = (h.neighbors_mask(part_map[i], x, part_map[j]) >> (y - 1)) & 1
-            if ge != he:
-                return False
-        return True
-
-    def rec(k: int) -> bool:
-        if k == len(order):
+    def rec(taken: int) -> bool:
+        x = len(image)
+        if x == len(rows_g):
             return True
-        i, a = order[k]
-        for x in sigs_h[i].get(sig_g[i][a - 1], ()):
-            if x in used[i]:
-                continue
-            if ok(i, a, x):
-                mapping[(i, a)] = x
-                used[i].add(x)
-                if rec(k + 1):
+        want = sum(1 << image[z - 1] for z in iter_bits(rows_g[x] & ((1 << x) - 1)))
+        for y in pools[x]:
+            if not (taken >> y) & 1 and rows_h[y] & taken == want:
+                image.append(y)
+                if rec(taken | 1 << y):
                     return True
-                del mapping[(i, a)]
-                used[i].discard(x)
+                image.pop()
         return False
 
     return rec(0)

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 from .containment import _uncompleted, contains, contains_after
 # bench/tracing.py patches the host_nonedges binding of this module
-from .graphs import PARTS, TripartiteGraph, VertexRef, degree_profile, host_nonedges
+from .graphs import (PARTS, TripartiteGraph, VertexRef, degree_profile, exact_int,
+                     host_nonedges)
 from .patterns import Embedding, PatternSpec
 
 
@@ -185,8 +186,8 @@ def residual_structure_check(g: TripartiteGraph,
     for i in PARTS:
         n, mask = g.part_sizes[i - 1], g.part_mask(i)
         for a in hubs[i - 1]:
-            if not 1 <= a <= n:
-                raise VerifierError(f"hub index {a} out of range for part {i} of size {n}")
+            if not 1 <= (exact_int(a) or 0) <= n:
+                raise VerifierError(f"hub index {a!r} for part {i} is not an integer in 1..{n}")
             mask &= ~(1 << (a - 1))
         keep.append(mask)
     residual = g.induced(keep)

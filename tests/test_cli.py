@@ -161,6 +161,13 @@ def test_formula_subcommand(capsys):
     assert code == 2 and "error" in json.loads(stdout)
 
 
+def test_formula_params_reject_repeated_key(capsys):
+    code, stdout, _ = run(capsys, "formula", "--name", "sat_lll",
+                          "--params", "n1=3,n2=2,n3=2, n1 =4,l=1")
+    assert code == 2
+    assert "'n1'" in json.loads(stdout)["error"]
+
+
 def test_table_golden_bytes(tmp_path, capsys):
     out = tmp_path / "table.csv"
     code, _, _ = run(capsys, "table", "--spec", str(DATA / "experiment_spec.json"),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from trisat import ConstructionError, SearchError
 from trisat.experiments import CSV_HEADER, ExperimentError, parse_spec, run_table
 
 
@@ -109,6 +110,23 @@ _FIRST = {"action": "construct",
 def test_invalid_run_refused_before_any_run(tmp_path, bad, why):
     out = tmp_path / "first.edges"
     with pytest.raises(ExperimentError, match=r"^runs\[1\]: .*" + why):
+        run_table(spec_of(dict(_FIRST, out=str(out)), bad))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"action": "greedy", "params": {"n1": 2, "n2": 3, "n3": 2, "pattern": [1, 1, 1],
+                                     "trials": 1, "seed": 0}}, SearchError),
+    ({"action": "exact", "params": {"n1": 2, "n2": 2, "n3": 2, "pattern": [1, 1, 1],
+                                    "budget": -1}}, SearchError),
+    ({"action": "construct", "params": {"construction": "4", "l": 4, "m": 1,
+                                        "n1": 9, "n2": 9, "n3": 9}}, ConstructionError),
+])
+def test_failing_run_leaves_no_out_file(tmp_path, bad, error):
+    # these pass validation and fail only when run; no run's file is written
+    # until every run has succeeded
+    out = tmp_path / "first.edges"
+    with pytest.raises(error):
         run_table(spec_of(dict(_FIRST, out=str(out)), bad))
     assert not out.exists()
 

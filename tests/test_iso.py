@@ -1,10 +1,12 @@
 """Part-respecting isomorphism: reflexivity, relabel-invariance, constructions."""
 
+import hashlib
 import itertools
 import random
 
 from trisat import (GraphBuilder, TripartiteGraph, VertexRef, construction1,
-                    construction2, iso_equivalent)
+                    construction2, degree_profile, host_nonedges, iso_equivalent)
+from trisat.graphs import iso_invariant
 from conftest import random_graph, random_sizes
 
 
@@ -21,6 +23,21 @@ def relabel(g: TripartiteGraph, part_perm: dict[int, int],
     return b.build()
 
 
+def random_relabel(rnd: random.Random, g: TripartiteGraph) -> TripartiteGraph:
+    """g under a random permutation of its equal-size parts and random
+    within-part relabelings."""
+    sizes = g.part_sizes
+    perms = [p for p in itertools.permutations((1, 2, 3))
+             if all(sizes[i] == sizes[p[i] - 1] for i in range(3))]
+    chosen = rnd.choice(perms)
+    vertex_perms = {}
+    for i in (1, 2, 3):
+        vp = list(range(1, sizes[i - 1] + 1))
+        rnd.shuffle(vp)
+        vertex_perms[i] = vp
+    return relabel(g, {i + 1: chosen[i] for i in range(3)}, vertex_perms)
+
+
 def test_iso_reflexive_and_symmetric_randomized():
     rnd = random.Random(3)
     for _ in range(15):
@@ -33,19 +50,8 @@ def test_iso_reflexive_and_symmetric_randomized():
 def test_iso_invariant_under_relabeling():
     rnd = random.Random(4)
     for _ in range(15):
-        sizes = random_sizes(rnd)
-        g = random_graph(rnd, sizes)
-        # part permutation restricted to equal-size parts
-        perms = [p for p in itertools.permutations((1, 2, 3))
-                 if all(sizes[i] == sizes[p[i] - 1] for i in range(3))]
-        chosen = rnd.choice(perms)
-        part_perm = {i + 1: chosen[i] for i in range(3)}
-        vertex_perms = {}
-        for i in (1, 2, 3):
-            vp = list(range(1, sizes[i - 1] + 1))
-            rnd.shuffle(vp)
-            vertex_perms[i] = vp
-        assert iso_equivalent(g, relabel(g, part_perm, vertex_perms))
+        g = random_graph(rnd, random_sizes(rnd))
+        assert iso_equivalent(g, random_relabel(rnd, g))
 
 
 def test_iso_size_mismatch_false():
@@ -113,6 +119,71 @@ def test_iso_against_brute_force_oracle():
         assert iso_equivalent(g, h) == want
         hits += want
     assert hits >= 5  # the sample exercises the isomorphic branch
+    # relabelings that also permute equal-size parts, on hosts with two and
+    # with three parts of one size
+    changed = 0
+    for k in range(24):
+        n = rnd.randint(1, 3)
+        sizes = (n, n, n) if k % 3 == 0 else tuple(sorted((n, n, rnd.randint(1, 3)),
+                                                          reverse=True))
+        g = random_graph(rnd, sizes, density=0.5)
+        h = random_relabel(rnd, g)
+        changed += h != g
+        if k % 2 and h.num_edges:
+            u, v = h.edges()[rnd.randrange(h.num_edges)]
+            h = h.without_edge(u, v)
+        assert iso_equivalent(g, h) == brute_force_iso(g, h)
+    assert changed >= 12  # most relabelings move some edge
+
+
+def test_two_triangles_vs_six_cycle():
+    # every vertex has one neighbour in each other part in both graphs, so
+    # the split-degree signatures agree; only one of them has a triangle
+    triangles = GraphBuilder((2, 2, 2))
+    cycle = GraphBuilder((2, 2, 2))
+    for a in (1, 2):
+        for i, j in ((1, 2), (1, 3), (2, 3)):
+            triangles.add_edge(VertexRef(i, a), VertexRef(j, a))
+    ring = [VertexRef(1, 1), VertexRef(2, 1), VertexRef(3, 1),
+            VertexRef(1, 2), VertexRef(2, 2), VertexRef(3, 2)]
+    for u, v in zip(ring, ring[1:] + ring[:1]):
+        cycle.add_edge(u, v)
+    g, h = triangles.build(), cycle.build()
+    assert iso_invariant(g) == iso_invariant(h)
+    assert not iso_equivalent(g, h)
+    assert not iso_equivalent(h, g)
+
+
+def iso_digest(pairs: int = 1200) -> str:
+    """sha256 over seeded pairs (g, h) on parts of size up to 5, a third of
+    them balanced.  h is a random graph, a random relabeling of g that may
+    permute equal-size parts, or such a relabeling with one edge moved to a
+    nonedge.  Each pair writes the iso_equivalent answer, whether the two
+    iso_invariant values are equal, and g's degree profile."""
+    rnd = random.Random(18)
+    digest = hashlib.sha256()
+    for k in range(pairs):
+        n = rnd.randint(1, 5)
+        sizes = (n, n, n) if k // 3 % 3 == 0 else random_sizes(rnd, 5)
+        g = random_graph(rnd, sizes, density=rnd.choice((0.3, 0.5, 0.7)))
+        if k % 3 == 1:
+            h = random_graph(rnd, sizes, density=0.5)
+        else:
+            h = random_relabel(rnd, g)
+            if k % 3 == 2 and 0 < h.num_edges < sum(x * y for x, y in
+                                                    itertools.combinations(sizes, 2)):
+                u, v = h.edges()[rnd.randrange(h.num_edges)]
+                x, y = rnd.choice(host_nonedges(h))
+                h = h.without_edge(u, v).with_edge(x, y)
+        prof = degree_profile(g)
+        digest.update(repr((iso_equivalent(g, h), iso_invariant(g) == iso_invariant(h),
+                            prof.delta, sorted(prof.split.items()))).encode())
+    return digest.hexdigest()
+
+
+def test_iso_answers_pinned_by_digest():
+    assert iso_digest() == (
+        "1e2b750ec0a83eb7c1421e0be3fd339bfd2bf54ed925e309fd29668cc046e5e7")
 
 
 def test_triangle_vs_path_removals_not_isomorphic():

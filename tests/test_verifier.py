@@ -187,6 +187,13 @@ def test_residual_structure_check_bad_range():
         residual_structure_check(new_host(2, 2, 2), [{5}, set(), set()])
 
 
+@pytest.mark.parametrize("hub", ["a", 2.0, True, None])
+def test_residual_structure_check_rejects_non_integer_hubs(hub):
+    # True would otherwise be read as index 1
+    with pytest.raises(VerifierError, match="hub index"):
+        residual_structure_check(new_host(2, 2, 2), [{hub}, set(), set()])
+
+
 def test_residual_structure_check_matches_brute_force():
     # an independent triple loop over the residual vertices: the first
     # triangle in (a, b, c) order and every masked degree
