@@ -25,8 +25,9 @@ through it as well.  The families differ only in the residual sizes, the
 base and the shift: w for constructions 1, 2 and 4 (whose residual is
 triangle-free), 0 for constructions 3 and 5.
 
-Every generator is admitted by its family's closed-form record from
-:mod:`trisat.formulas`: parameters the record refuses (non-integers, the
+Every generator and every construction run of an experiment spec passes
+one rule, :func:`admit`, built on :func:`formula_for`: parameters the
+family's record in :mod:`trisat.formulas` refuses (non-integers, the
 orderings l >= m (> p) >= 1 and n1 >= n2 >= n3 >= 1) are refused, and so,
 unless ``force=True``, is a host where the record's hypothesis fails --
 the regime under which saturation is proved (the verifier can judge a
@@ -93,21 +94,6 @@ def _windows(res: tuple[int, int, int], w: int,
             yield 2, a, 1, _rho(a + off, res[0])
 
 
-def _admit(which: str, ns: tuple[int, int, int], l: int | None, m: int | None,
-           p: int | None, force: bool) -> tuple[int, ...]:
-    """Evaluate the family's closed-form record: refuse what it refuses and,
-    unless forced, a host where its hypothesis fails.  Returns the record's
-    parameters as plain ints, in the formula's parameter order."""
-    try:
-        rec = _FAMILIES[which].formula(ns, l, m, p)
-    except FormulaError as exc:
-        raise ConstructionError(str(exc)) from None
-    if not (rec.hypothesis_satisfied or force):
-        raise ConstructionError(
-            f"{rec.name} hypothesis fails: {rec.note} (pass force=True to build anyway)")
-    return tuple(rec.params.values())
-
-
 # -- constructions 1 and 2 -----------------------------------------------------
 
 def _con1_body(n1: int, n2: int, n3: int, l: int, m: int) -> GraphBuilder:
@@ -128,7 +114,7 @@ def _con1_body(n1: int, n2: int, n3: int, l: int, m: int) -> GraphBuilder:
 def construction1(l: int, m: int, n1: int, n2: int, n3: int, *,
                   force: bool = False) -> TripartiteGraph:
     """K_{l,m,m}-saturated subgraph with a triangle of hub nonedges."""
-    n1, n2, n3, l, m = _admit("1", (n1, n2, n3), l, m, None, force)
+    n1, n2, n3, l, m = admit("1", n1, n2, n3, l, m, force=force).params.values()
     b = _con1_body(n1, n2, n3, l, m)
     b.remove_edge(VertexRef(1, n1), VertexRef(2, n2))
     b.remove_edge(VertexRef(1, n1), VertexRef(3, n3))
@@ -150,7 +136,7 @@ def construction2(variant: int, l: int, m: int, n1: int, n2: int, n3: int, *,
     i = exact_int(variant)
     if i not in PARTS:
         raise ConstructionError(f"variant must be 1, 2 or 3, got {variant!r}")
-    n1, n2, n3, l, m = _admit("2", (n1, n2, n3), l, m, None, force)
+    n1, n2, n3, l, m = admit("2", n1, n2, n3, l, m, force=force).params.values()
     if m < 2 and not force:
         raise ConstructionError(
             "the path-removal variant needs m >= 2 (with m = 1 the removed edges "
@@ -178,7 +164,7 @@ def construction3(l: int, m: int, p: int, n1: int, n2: int, n3: int, *,
     so residual degrees are exactly l-m on the j side and at most l-m on the
     i side.
     """
-    n1, n2, n3, l, m, p = _admit("3", (n1, n2, n3), l, m, p, force)
+    n1, n2, n3, l, m, p = admit("3", n1, n2, n3, l, m, p, force=force).params.values()
     if m - 1 > n3:
         raise ConstructionError(f"hub size m-1={m - 1} exceeds the smallest part {n3}")
     ns = (n1, n2, n3)
@@ -257,7 +243,7 @@ def construction4(l: int, m: int, n: int, *, force: bool = False) -> TripartiteG
     l - m exists there.  A parity condition in the record's hypothesis would
     therefore change the builder too, with no edit here.
     """
-    n, l, m = _admit("4", (n, n, n), l, m, None, force)
+    n, l, m = admit("4", n, n, n, l, m, force=force).params.values()
     t = t_of(l, m)
     if n < m + t + 1:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m}) plus triangles ({t})")
@@ -300,7 +286,7 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
     so unlike the other families ``force=True`` cannot build below the
     threshold.
     """
-    n, l, m, p = _admit("5", (n, n, n), l, m, p, force)
+    n, l, m, p = admit("5", n, n, n, l, m, p, force=force).params.values()
     t = t_of(l, m)
     if n < (m - 1) + t:
         raise ConstructionError(f"parts of size {n} cannot hold hubs ({m - 1}) plus triangles ({t})")
@@ -318,7 +304,7 @@ def construction5(l: int, m: int, p: int, n: int, *, force: bool = False) -> Tri
 
 def construction_c4(n1: int, n2: int, n3: int, *, force: bool = False) -> TripartiteGraph:
     """C4-saturated subgraph with edge set {v_i^1 v_{i+1}^j : i in [3], j in [n_{i+1}]}."""
-    ns = _admit("c4", (n1, n2, n3), None, None, None, force)
+    ns = tuple(admit("c4", n1, n2, n3, force=force).params.values())
     b = GraphBuilder(ns)
     # v_i^1 joins all of part i + 1, which is ns[i % 3]
     _place(b, 0, ((i, 1, _cyc(i, 1), c) for i in PARTS for c in range(1, ns[i % 3] + 1)))
@@ -422,14 +408,32 @@ def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
                 variant: int | None = None) -> BoundRecord:
     """The closed-form edge count matching a construction.
 
-    Refuses a parameter given (not None) that the family does not read:
-    l, m or p unless its record names it, variant unless the family is
-    construction 2.  :func:`build` ignores them instead."""
-    rec = _family(which).formula((n1, n2, n3), l, m, p)
+    Raises a :class:`ConstructionError` with the record's message where the
+    family's record refuses, and refuses a parameter given (not None) that
+    the family does not read: l, m or p unless its record names it, variant
+    unless the family is construction 2.  :func:`build` ignores them."""
+    try:
+        rec = _family(which).formula((n1, n2, n3), l, m, p)
+    except FormulaError as exc:
+        raise ConstructionError(str(exc)) from None
     unread = [k for k, x in (("l", l), ("m", m), ("p", p), ("variant", variant))
               if x is not None and k not in rec.params and (k, which) != ("variant", "2")]
     if unread:
         raise ConstructionError(f"construction {which} does not read {', '.join(unread)}")
+    return rec
+
+
+def admit(which: str, n1: int, n2: int, n3: int, l: int | None = None,
+          m: int | None = None, p: int | None = None, variant: int | None = None, *,
+          force: bool = False) -> BoundRecord:
+    """The admission rule of every builder and construction spec run:
+    refuse what :func:`formula_for` refuses and, unless ``force``, a host
+    where the record's hypothesis fails.  Returns the record, whose
+    parameters are plain ints in the formula's signature order."""
+    rec = formula_for(which, n1, n2, n3, l, m, p, variant)
+    if not (rec.hypothesis_satisfied or force):
+        raise ConstructionError(
+            f"{rec.name} hypothesis fails: {rec.note} (pass force=True to build anyway)")
     return rec
 
 

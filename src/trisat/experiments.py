@@ -130,12 +130,10 @@ def _validate_run(run: object, k: int) -> None:
         if "pattern" in params:
             PatternSpec(*params["pattern"])
         if "construction" in params:
-            rec = constructions.formula_for(
+            constructions.admit(
                 params["construction"], params["n1"], params["n2"], params["n3"],
-                **{k: params.get(k) for k in ("l", "m", "p", "variant")})
-            if not (rec.hypothesis_satisfied or params.get("force")):
-                raise ValueError(f"{rec.name} hypothesis fails: {rec.note} "
-                                 "(set force to build anyway)")
+                **{k: params.get(k) for k in ("l", "m", "p", "variant")},
+                force=params.get("force", False))
     except ValueError as exc:
         raise ExperimentError(f"{where}: {exc}") from None
 

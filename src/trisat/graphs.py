@@ -321,19 +321,27 @@ def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
 
     True iff some bijection composed of (a) a permutation of equal-size
     parts and (b) within-part vertex relabelings maps E(g) onto E(h).
-    Each graph's signatures are read once; every part permutation whose
-    per-part signature multisets agree runs ``_iso_backtrack``, which maps
-    g's positions in order, part 1 first.  Exact; for parts up to ~12.
+    Each vertex's signature and triangle count are read once; every part
+    permutation whose per-part multisets of these agree runs
+    ``_iso_backtrack``, which maps g's positions in order, part 1 first.
+    Exact; for parts up to ~12.
     """
     if sorted(g.part_sizes) != sorted(h.part_sizes) or g.num_edges != h.num_edges:
         return False
-    sig_g, sig_h = _signatures(g), _signatures(h)
+
+    def keyed(x: TripartiteGraph) -> list:
+        # per part, each vertex's signature followed by its triangle count
+        rows = x.rows
+        tri = iter([sum((rows[y - 1] & r).bit_count() for y in iter_bits(r)) // 2 for r in rows])
+        return [[(*s, next(tri)) for s in part] for part in _signatures(x)]
+
+    sig_g, sig_h = keyed(g), keyed(h)
     for perm in itertools.permutations(range(3)):
         # g's part i+1 goes to h's part perm[i]+1, unless sizes or signatures differ
         c1, c2, c3 = perm
         pools = []
         for part, k in zip(sig_g, perm):
-            read = [(s[c1], s[c2], s[c3]) for s in sig_h[k]]
+            read = [(s[c1], s[c2], s[c3], s[3]) for s in sig_h[k]]
             if sorted(read) != sorted(part):
                 break
             pools += [[h.offsets[k] + y for y, t in enumerate(read) if t == s] for s in part]

@@ -296,6 +296,34 @@ def test_smallest_guaranteed_n_values():
             assert build(which, *below, l=l, m=m, p=p, force=True).num_edges > 0
 
 
+def test_formula_for_and_build_refuse_alike():
+    # one admission rule: where the family's record refuses the parameters,
+    # formula_for and build raise the same class with the same message
+    refused = 0
+    for which, l, m, p in _regime_grid():
+        n = smallest_guaranteed_n(which, l, m, p)
+        cases = [((n, n + 1, n), l, m, p)]
+        if which != "c4":
+            cases += [((n, n, n), l, l + 1, p), ((n, n, n), float(l), m, p), ((n, n, n), l, True, p),
+                      ((n, n, n), m - 1, m, p), ((n + 1, n, n), l, m, p)]
+        if p is not None:
+            cases.append(((n, n, n), l, m, m))
+        for host, cl, cm, cp in cases:
+            kw = dict(l=cl, m=cm, p=cp) if which != "c4" else {}
+            try:
+                formula_for(which, *host, **kw)
+            except ValueError as exc:
+                expected = exc
+            else:
+                continue
+            refused += 1
+            assert type(expected) is ConstructionError, (which, host, kw)
+            with pytest.raises(ConstructionError) as info:
+                build(which, *host, **kw, force=True)
+            assert str(info.value) == str(expected), (which, host, kw)
+    assert refused > 100
+
+
 def test_builders_refuse_non_integer_parameters():
     # the family's record refuses the parameter, so no builder reaches a
     # TypeError or builds from a bool, a float or a missing value

@@ -1,5 +1,7 @@
 """Formulas: frozen values, hypothesis flags, cross-formula identities."""
 
+import hashlib
+import itertools
 import json
 import random
 
@@ -9,7 +11,9 @@ import pytest
 from trisat import (FormulaError, f_bw, f_c4, f_con1_upper, f_con3_upper,
                     f_con4_upper, f_con5_upper, f_ehm, f_fjpw, f_gks_lower,
                     f_lll2_lower, f_ms_upper, f_sat_lll, f_sat_lll1)
+from trisat.constructions import CONSTRUCTION_NAMES, build, formula_for
 from trisat.formulas import FORMULAS, evaluate
+from trisat.serialization import to_json_obj
 
 
 def test_con1_upper_values():
@@ -181,3 +185,49 @@ def test_formula_numpy_integers_give_plain_int_params(name):
     assert rec == fn(**_VALID[name])
     assert all(type(v) is int for v in rec.params.values()) and type(rec.value) is int
     assert json.loads(json.dumps(rec.to_json_obj())) == rec.to_json_obj()
+
+
+def records_digest() -> str:
+    """sha256 over every registered formula on parameters 0..4 (and each
+    slot set to 2.0, True, "3" or None at all-2 parameters), and per
+    construction family over ``formula_for`` and ``build`` (unforced and
+    forced) on small hosts with l, m in 0..4 and p in 0..3 where the family
+    reads them.  A result writes its ``to_json_obj()``, an error its
+    message only, so the exception class does not enter the digest."""
+    digest = hashlib.sha256()
+
+    def put(call, *args, **kwargs):
+        try:
+            out = call(*args, **kwargs)
+            obj = out.to_json_obj() if hasattr(out, "to_json_obj") else to_json_obj(out)
+        except ValueError as exc:
+            obj = {"error": str(exc)}
+        digest.update(json.dumps(obj, sort_keys=True).encode() + b"\n")
+
+    for name in sorted(FORMULAS):
+        fn, slots = FORMULAS[name]
+        for vals in itertools.product(range(5), repeat=len(slots)):
+            put(fn, *vals)
+        for k in range(len(slots)):
+            for bad in (2.0, True, "3", None):
+                put(fn, *[bad if j == k else 2 for j in range(len(slots))])
+    hosts = [(n, n, n) for n in range(1, 7)] + [(5, 4, 3), (6, 5, 5), (4, 4, 2), (3, 2, 1)]
+    for which in CONSTRUCTION_NAMES:
+        ls = [None] if which == "c4" else range(5)
+        ps = range(4) if which in ("3", "5") else [None]
+        for host, l, m, p in itertools.product(hosts, ls, ls, ps):
+            for variant in ((1, 3) if which == "2" else (1,)):
+                put(formula_for, which, *host, l=l, m=m, p=p)
+                for force in (False, True):
+                    put(build, which, *host, l=l, m=m, p=p, variant=variant, force=force)
+        base = dict(n1=6, n2=6, n3=6, l=None if which == "c4" else 3, m=None if which == "c4" else 2,
+                    p=1 if which in ("3", "5") else None)
+        for slot in [k for k, v in base.items() if v is not None]:
+            for bad in (1.0, True, None):
+                put(formula_for, which, **dict(base, **{slot: bad}))
+                put(build, which, **dict(base, **{slot: bad}))
+    return digest.hexdigest()
+
+
+def test_formula_records_pinned_by_digest():
+    assert records_digest() == "7135b32af5c182b5bfce191cb8fc9e0f2458be0297a1f98eca5b8fd5e70fb171"

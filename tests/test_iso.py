@@ -208,3 +208,15 @@ def test_triangle_vs_path_removals_not_isomorphic():
     assert independent_triples(g1) == 65
     assert independent_triples(g2) == 64
     assert not iso_equivalent(g1, g2)
+
+
+def test_two_switch_refuted_by_triangle_counts():
+    # a 2-switch keeps every split degree, so equal signatures alone leave
+    # the backtrack to exhaust the pair; the per-vertex triangle counts of
+    # the two graphs already differ, so the pools refute it at once
+    g = construction1(1, 1, 6, 6, 6)
+    a1, a6, b1, b6 = VertexRef(1, 1), VertexRef(1, 6), VertexRef(2, 1), VertexRef(2, 6)
+    h = g.without_edge(a1, b6).without_edge(a6, b1).with_edge(a1, b1).with_edge(a6, b6)
+    assert iso_invariant(g) == iso_invariant(h)
+    assert not iso_equivalent(g, h)
+    assert not iso_equivalent(h, g)
