@@ -122,6 +122,14 @@ def construction1(l: int, m: int, n1: int, n2: int, n3: int, *,
     return b.build()
 
 
+def _check_variant(variant) -> int:
+    """Construction 2's variant as an int; refuses anything but 1, 2 or 3."""
+    i = exact_int(variant)
+    if i not in PARTS:
+        raise ConstructionError(f"variant must be 1, 2 or 3, got {variant!r}")
+    return i
+
+
 def construction2(variant: int, l: int, m: int, n1: int, n2: int, n3: int, *,
                   force: bool = False) -> TripartiteGraph:
     """K_{l,m,m}-saturated subgraph with a path of hub nonedges.
@@ -133,9 +141,7 @@ def construction2(variant: int, l: int, m: int, n1: int, n2: int, n3: int, *,
     pair completely joined and the graph is not pattern-free (``force=True``
     builds it regardless, for experimentation).
     """
-    i = exact_int(variant)
-    if i not in PARTS:
-        raise ConstructionError(f"variant must be 1, 2 or 3, got {variant!r}")
+    i = _check_variant(variant)
     n1, n2, n3, l, m = admit("2", n1, n2, n3, l, m, force=force).params.values()
     if m < 2 and not force:
         raise ConstructionError(
@@ -411,7 +417,11 @@ def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
     Raises a :class:`ConstructionError` with the record's message where the
     family's record refuses, and refuses a parameter given (not None) that
     the family does not read: l, m or p unless its record names it, variant
-    unless the family is construction 2.  :func:`build` ignores them."""
+    unless the family is construction 2, and construction 2's variant
+    unless it is 1, 2 or 3, before any host check.  :func:`build` ignores
+    them."""
+    if which == "2" and variant is not None:
+        _check_variant(variant)
     try:
         rec = _family(which).formula((n1, n2, n3), l, m, p)
     except FormulaError as exc:

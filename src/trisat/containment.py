@@ -25,19 +25,30 @@ ascending order, each pick narrowing the masks of the classes still to
 fill by its row, so a layout yields its lexicographically first
 embedding.
 
-:func:`contains` and :func:`contains_after` run through one decision
-core, ``_decide``, which returns the chosen class masks of the first
-embedding, or None; only they turn the masks into an :class:`Embedding`.
-A required endpoint narrows every class but its own by its row.  A
+A cached plan per pattern and part sizes (``_layouts``) holds the
+layouts, and per ordered part pair (i, j) an endpoint plan: the layouts
+that put an endpoint u in part i and v in part j in different classes,
+each with u's and v's classes, the members still to pick once both are
+placed, and the fill order restricted to the classes that need some.  A
+layout that puts u and v in one class is never tested: its copies avoid
+uv.  A required endpoint narrows every class but its own by its row.  A
 layout where a class has fewer candidates than members still to pick is
 skipped before any search, and the fill ``_fill`` takes the last class's
 lowest candidates directly, since every pick before it kept enough of
-them.  The verifier asks one question per host nonedge of a pattern-free
-graph, whether adding it completes a copy, and ``_uncompleted`` answers
-all of them in one sweep: it reads the nonedges from g's rows as runs
-that share the first endpoint u and the part of v, and per run and
-layout one search, ``_completed``, fills the classes around u with the
-second endpoint left open.  The set W of v's that every pick so far is
+them.  When only one class still needs members, as in every K(1,1,1)
+query, :func:`contains_after` takes its lowest candidates without calling
+``_fill``, which would pick the same ones.  :func:`contains` and
+:func:`contains_after` return an :class:`Embedding` that holds the chosen
+class masks and the plan's vertices by position; its vertex sets are
+built only when ``classes`` is first read, so a caller that tests the
+answer against None, as the greedy sampler does, builds none.
+
+The verifier asks one question per host nonedge of a pattern-free graph,
+whether adding it completes a copy, and ``_uncompleted`` answers all of
+them in one sweep: it reads the nonedges from g's rows as runs that share
+the first endpoint u and the part of v, and per run and layout one
+search, ``_completed``, fills the classes around u with the second
+endpoint left open.  The set W of v's that every pick so far is
 adjacent to shrinks with each pick, and a complete fill completes uv for
 every v still in W.  This search is separate from the per-call fill
 ``_fill``: the verifier re-confirms each nonedge it leaves open through
@@ -49,9 +60,8 @@ no run-time check sees.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graphs import PARTS, VertexRef, iter_bits, nonedge_runs
 from .patterns import Embedding, PatternSpec
@@ -63,7 +73,13 @@ class ContainmentError(ValueError):
 
 def contains(g, pat: PatternSpec) -> Optional[Embedding]:
     """First embedding of pat in g under the fixed exploration order, or None."""
-    return _witness(_decide(g, pat))
+    plan, adj = _layouts(pat.sizes, g.part_sizes), g.rows
+    # every layout of the plan has room for each class, so none is gated
+    for full, _ in plan.layouts:
+        chosen = _fill(adj, plan.order, full, plan.sizes)
+        if chosen is not None:
+            return Embedding.from_masks(chosen, plan.verts)
+    return None
 
 
 def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[Embedding]:
@@ -71,15 +87,49 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
 
     Sound only when g is already pattern-free (the caller's contract): an
     embedding avoiding the new edge would have existed in g.
+
+    u and v narrow each other's class to their neighbours in g and every
+    other class to their common ones.  A layout where some class has fewer
+    candidates than members still to pick is skipped before :func:`_fill`,
+    which could not fill it either: picks only narrow the masks.  The masks
+    hold neither endpoint, since g lacks uv; both join the chosen members at
+    the end, which puts back uv.  Picked members are never endpoints, so
+    every other row is read from g as is.
     """
     if u.part == v.part:
         raise ContainmentError(f"{u} and {v} lie in the same part")
+    ns = g.part_sizes
     for x in (u, v):
-        if x.index > g.part_sizes[x.part - 1]:
-            raise ContainmentError(f"{x} out of range for part sizes {g.part_sizes}")
-    if (g.neighbors_mask(u.part, u.index, v.part) >> (v.index - 1)) & 1:
+        if x.index > ns[x.part - 1]:
+            raise ContainmentError(f"{x} out of range for part sizes {ns}")
+    off = g.offsets
+    xu, xv = off[u.part - 1] + u.index - 1, off[v.part - 1] + v.index - 1
+    # the rows themselves: GraphBuilder.rows would copy a builder's list
+    adj = g._adj
+    ru, rv = adj[xu], adj[xv]
+    if (ru >> xv) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
-    return _witness(_decide(g, pat, u, v))
+    both = ru & rv
+    plan = _layouts(pat.sizes, ns)
+    for full, cu, cv, need, fill in plan.ends[u.part - 1][v.part - 1]:
+        cand = [m & both for m in full]
+        cand[cu], cand[cv] = full[cu] & rv, full[cv] & ru
+        for c in fill:
+            if cand[c].bit_count() < need[c]:
+                break
+        else:
+            if len(fill) > 1:
+                chosen = _fill(adj, fill, cand, need)
+            else:
+                # at most one class still needs members: _fill would take its lowest
+                chosen = [0] * len(cand)
+                for c in fill:
+                    chosen[c] = _lowest(cand[c], need[c])
+            if chosen is not None:
+                chosen[cu] |= 1 << xu
+                chosen[cv] |= 1 << xv
+                return Embedding.from_masks(chosen, plan.verts)
+    return None
 
 
 def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
@@ -113,13 +163,33 @@ def contains_naive(g, pat: PatternSpec) -> Optional[Embedding]:
     return None
 
 
+class _Plan(NamedTuple):
+    """What the search needs of one pattern on one host's part sizes.
+
+    ``sizes`` and ``order`` are the class sizes and fill order; each of
+    ``layouts`` gives each class the mask of its vertices' positions
+    (``full``) and each part its class (``where``); ``verts`` holds the
+    vertices by position.  ``ends[i - 1][j - 1]`` is the endpoint plan of
+    a u in part i and a v in part j: per layout that puts them in distinct
+    classes, in layout order, ``(full, cu, cv, need, fill)`` with u's and
+    v's classes, each class's members still to pick once u and v are
+    placed, and the fill order restricted to the classes that need some.
+    """
+
+    sizes: tuple[int, ...]
+    order: tuple[int, ...]
+    layouts: tuple
+    verts: tuple[VertexRef, ...]
+    ends: tuple
+
+
 @lru_cache(maxsize=256)
-def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
-    """Class sizes, fill order, every layout that can hold the classes in
-    exploration order, and the vertices by position.  A layout gives each
-    class the mask of its vertices' positions and each part its class."""
-    if pat.p >= 1:
-        sizes = pat.sizes
+def _layouts(pat_sizes: tuple[int, int, int], ns: tuple[int, int, int]) -> _Plan:
+    """The plan of the pattern with class sizes ``pat_sizes`` on parts of
+    sizes ``ns``: every layout that can hold the classes, in exploration
+    order.  Keyed by tuples of ints, so a lookup hashes no PatternSpec."""
+    if pat_sizes[2] >= 1:
+        sizes = pat_sizes
         # fill the small classes first; ties broken by class index
         order = tuple(sorted(range(3), key=lambda c: (sizes[c], c)))
         # class-to-part bijections in lexicographic order; of those that only
@@ -129,7 +199,7 @@ def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
                             for c1, c2 in itertools.combinations(range(3), 2))]
     else:
         # the Y class first; X is then read off its common neighbourhood
-        sizes, order = (pat.ell, pat.m), (1, 0)
+        sizes, order = pat_sizes[:2], (1, 0)
         homes = list(itertools.product((0, 1), repeat=3))
     parts = [((1 << n) - 1) << off for n, off in zip(ns, (0, ns[0], ns[0] + ns[1]))]
     layouts = []
@@ -138,62 +208,20 @@ def _layouts(pat: PatternSpec, ns: tuple[int, int, int]):
         if all(m.bit_count() >= size for m, size in zip(full, sizes)):
             layouts.append((full, where))
     verts = tuple(VertexRef(i, a) for i in PARTS for a in range(1, ns[i - 1] + 1))
-    return sizes, order, tuple(layouts), verts
-
-
-def _decide(g, pat: PatternSpec, u=None, v=None):
-    """(vertices by position, class masks) of the first embedding over all
-    layouts, in g plus uv and using both u and v when they are given; None
-    when there is none.
-
-    u and v narrow each other's class to their neighbours in g and every
-    other class to their common ones.  A layout where some class has fewer
-    candidates than members still to pick is skipped before :func:`_fill`,
-    which could not fill it either: picks only narrow the masks.  The masks
-    hold neither endpoint, since g lacks uv; both join the chosen members at
-    the end, which puts back uv.  Picked members are never endpoints, so
-    every other row is read from g as is."""
-    adj = g.rows
-    sizes, order, layouts, verts = _layouts(pat, g.part_sizes)
-    if u is not None:
-        off = g.offsets
-        xu, xv = off[u.part - 1] + u.index - 1, off[v.part - 1] + v.index - 1
-        both = adj[xu] & adj[xv]
-    for full, where in layouts:
-        cand, need = full, sizes
-        if u is not None:
-            cu, cv = where[u.part - 1], where[v.part - 1]
-            if cu == cv:
-                continue  # copies with u and v in one class avoid uv
-            cand, need = [m & both for m in full], list(sizes)
-            cand[cu], cand[cv] = full[cu] & adj[xv], full[cv] & adj[xu]
-            need[cu] -= 1
-            need[cv] -= 1
-        if not all(map(operator.ge, map(int.bit_count, cand), need)):
-            continue
-        chosen = _fill(adj, order, cand, need)
-        if chosen is not None:
-            if u is not None:
-                chosen[cu] |= 1 << xu
-                chosen[cv] |= 1 << xv
-            return verts, chosen
-    return None
-
-
-def _witness(found) -> Optional[Embedding]:
-    """The embedding named by a result of :func:`_decide`, or None."""
-    if found is None:
-        return None
-    verts, chosen = found
-    classes = []
-    for m in chosen:
-        members = []
-        while m:
-            low = m & -m
-            members.append(verts[low.bit_length() - 1])
-            m ^= low
-        classes.append(frozenset(members))
-    return Embedding(tuple(classes))
+    ends = []
+    for i in PARTS:
+        row = []
+        for j in PARTS:
+            entries = []
+            for full, where in layouts:
+                cu, cv = where[i - 1], where[j - 1]
+                if cu != cv:  # copies with u and v in one class avoid uv
+                    need = [s - (c in (cu, cv)) for c, s in enumerate(sizes)]
+                    entries.append((full, cu, cv, tuple(need),
+                                    tuple(c for c in order if need[c])))
+            row.append(tuple(entries))
+        ends.append(tuple(row))
+    return _Plan(sizes, order, tuple(layouts), verts, tuple(ends))
 
 
 def _uncompleted(g, pat: PatternSpec):
@@ -205,7 +233,7 @@ def _uncompleted(g, pat: PatternSpec):
     finds every v of the run that some copy through u and v admits; a
     layout that puts u and v in one class is skipped, its copies avoid uv.
     """
-    sizes, order, layouts, _ = _layouts(pat, g.part_sizes)
+    sizes, order, layouts, _, _ = _layouts(pat.sizes, g.part_sizes)
     adj, off = g.rows, g.offsets
     pos = 0
     for i, a, j, mask in nonedge_runs(g):
@@ -305,10 +333,7 @@ def _fill(adj, order, cand, need) -> Optional[list[int]]:
             k += 1
             c = order[k]
             if k == last:
-                m = cand[c]
-                for _ in range(need[c]):
-                    m &= m - 1
-                chosen[c] = cand[c] ^ m
+                chosen[c] = _lowest(cand[c], need[c])
                 return True
             return rec(k, cand, need[c], cand[c])
         c = order[k]
@@ -331,3 +356,11 @@ def _fill(adj, order, cand, need) -> Optional[list[int]]:
 
     c = order[0]
     return chosen if rec(0, cand, need[c], cand[c]) else None
+
+
+def _lowest(mask: int, k: int) -> int:
+    """The k lowest set bits of mask."""
+    rest = mask
+    for _ in range(k):
+        rest &= rest - 1
+    return mask ^ rest

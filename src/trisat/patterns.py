@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import VertexRef, exact_int
+from .graphs import VertexRef, exact_int, iter_bits
 
 
 class PatternError(ValueError):
@@ -56,17 +56,54 @@ class PatternSpec:
         return f"K({self.ell},{self.m},{self.p})"
 
 
-@dataclass(frozen=True)
 class Embedding:
-    """One vertex set per nonempty pattern class, witness of containment."""
+    """One vertex set per nonempty pattern class, witness of containment.
 
-    classes: tuple[frozenset, ...]
+    ``Embedding(classes)`` holds the classes as given.  The containment
+    search returns witnesses that hold each class as a mask over vertex
+    positions plus the table of vertices by position, and builds
+    ``classes`` from them on first read, each class's members inserted in
+    position order; a caller that only tests a witness against None builds
+    no sets.  Equality, hash and repr are those of the classes either way.
+    """
+
+    __slots__ = ("_classes", "_masks", "_verts")
+
+    def __init__(self, classes: tuple[frozenset, ...]):
+        self._classes = classes
+        self._masks = self._verts = None
+
+    @classmethod
+    def from_masks(cls, masks: list[int], verts: tuple[VertexRef, ...]) -> "Embedding":
+        """The embedding whose class k holds ``verts[x]`` for each set bit x of ``masks[k]``."""
+        emb = cls.__new__(cls)
+        emb._classes, emb._masks, emb._verts = None, masks, verts
+        return emb
+
+    @property
+    def classes(self) -> tuple[frozenset, ...]:
+        if self._classes is None:
+            verts = self._verts
+            self._classes = tuple(frozenset([verts[x - 1] for x in iter_bits(m)])
+                                  for m in self._masks)
+        return self._classes
 
     def all_vertices(self) -> frozenset:
         out: frozenset = frozenset()
         for cl in self.classes:
             out |= cl
         return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Embedding):
+            return NotImplemented
+        return self.classes == other.classes
+
+    def __hash__(self) -> int:
+        return hash((self.classes,))
+
+    def __repr__(self) -> str:
+        return f"Embedding(classes={self.classes!r})"
 
 
 def validate_embedding(g, pat: PatternSpec, emb: Embedding) -> None:

@@ -113,7 +113,7 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     of the pattern in the complete host, deduplicated and sorted.  The
     class-to-part layouts are the ones the containment search explores."""
     idx = {e: k for k, e in enumerate(host_edges(sizes))}
-    class_sizes, _, layouts, verts = _layouts(pat, tuple(sizes))
+    class_sizes, _, layouts, verts, _ = _layouts(pat.sizes, tuple(sizes))
     masks: set[int] = set()
     for full, _ in layouts:
         classes = [[verts[b - 1] for b in iter_bits(m)] for m in full]

@@ -11,7 +11,7 @@ from trisat import (ConstructionError, PatternSpec, construction1,
                     f_con3_upper, f_con4_upper, f_con5_upper, hub_sets,
                     host_nonedges, is_saturated, iso_equivalent, new_host,
                     residual_structure_check, residual_triple_edges, serialize)
-from trisat.constructions import build, formula_for, smallest_guaranteed_n
+from trisat.constructions import admit, build, formula_for, smallest_guaranteed_n
 
 
 def test_construction1_edge_counts_match_formula():
@@ -60,6 +60,17 @@ def test_construction2_rejects_m1():
     g = construction2(1, 1, 1, 5, 5, 5, force=True)
     rep = is_saturated(g, (5, 5, 5), PatternSpec(1, 1, 1))
     assert not rep.is_pattern_free and not rep.is_saturated
+
+
+@pytest.mark.parametrize("variant", [7, 0, -1, True, 2.0, "1"])
+def test_construction2_variant_refused_before_host_checks(variant):
+    # the host (1, 1, 1) fails construction 2's record; the variant is refused first
+    for call in (lambda: formula_for("2", 1, 1, 1, l=3, m=2, variant=variant),
+                 lambda: admit("2", 1, 1, 1, l=3, m=2, variant=variant),
+                 lambda: construction2(variant, 3, 2, 1, 1, 1)):
+        with pytest.raises(ConstructionError, match=r"^variant must be 1, 2 or 3"):
+            call()
+    assert formula_for("2", 7, 6, 5, l=3, m=2, variant=3).hypothesis_satisfied
 
 
 def test_construction3_edge_counts_and_saturation():

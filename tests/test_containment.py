@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from trisat import (ContainmentError, GraphBuilder, PatternError, PatternSpec,
+from trisat import (ContainmentError, Embedding, GraphBuilder, PatternError, PatternSpec,
                     TripartiteGraph, VertexRef, construction1, construction3,
                     construction4, construction_c4, contains, contains_after,
                     contains_naive, host_nonedges, new_host, validate_embedding)
@@ -167,6 +167,34 @@ def test_embedding_validator_rejects_tampering():
                       frozenset({VertexRef(3, 1)})))
     with pytest.raises(EmbeddingError):
         validate_embedding(host, pat, span)
+
+
+@pytest.mark.parametrize("sizes", [(1, 1, 1), (2, 2, 1), (2, 1, 1), (2, 2, 0)])
+def test_witnesses_have_embedding_value_semantics(sizes):
+    # contains and contains_after build a witness's classes on first read;
+    # it compares, hashes and prints as Embedding(classes) does, read first
+    # through hash and repr and then through classes
+    pat = PatternSpec(*sizes)
+    rnd = random.Random(sum(sizes))
+    ns = (4, 3, 3)
+    g = maximal_free_graph(rnd, ns, pat)
+    found = [(new_host(*ns), contains(new_host(*ns), pat))]
+    found += [(g.with_edge(u, v), contains_after(g, pat, u, v))
+              for u, v in host_nonedges(g)[:8]]
+    spans = 0
+    for h, w in found:
+        assert w is not None and contains(h, pat) is not None
+        hashed, shown = hash(w), repr(w)
+        eager = Embedding(w.classes)
+        assert w == eager and eager == w and len({w, eager}) == 1
+        assert (hashed, shown) == (hash(eager), repr(eager))
+        assert shown.startswith("Embedding(classes=(frozenset({")
+        assert w != Embedding(w.classes[::-1]) and w != w.classes
+        assert w.all_vertices() == frozenset().union(*w.classes)
+        validate_embedding(h, pat, w)
+        spans += any(len({x.part for x in cl}) == 2 for cl in w.classes)
+    if pat.p == 0:
+        assert spans  # some C4 witness has a class over two parts
 
 
 def test_contains_after_missing_third_edge():

@@ -106,6 +106,9 @@ _FIRST = {"action": "construct",
     ({"action": "construct", "params": {"construction": "3", "l": 2, "m": 2, "p": 1,
                                         "variant": 3, "n1": 5, "n2": 5, "n3": 5}},
      "does not read variant"),
+    ({"action": "construct", "params": {"construction": "2", "l": 3, "m": 2, "n1": 7,
+                                        "n2": 6, "n3": 5, "variant": 7}},
+     "variant must be 1, 2 or 3"),
 ])
 def test_invalid_run_refused_before_any_run(tmp_path, bad, why):
     out = tmp_path / "first.edges"

@@ -1,6 +1,8 @@
 """Generator conformance against an independent transcription of its
 documented constants and update rules."""
 
+import pytest
+
 from trisat.rng import XorShift64Star, splitmix64, trial_state
 
 M64 = (1 << 64) - 1
@@ -25,6 +27,27 @@ def ref_xorshift_star_stream(state: int, count: int) -> list[int]:
     return out
 
 
+def ref_trial_state(seed: int, trial: int) -> int:
+    state = ref_splitmix64(ref_splitmix64(seed) ^ trial)
+    return state if state != 0 else 0x9E3779B97F4A7C15
+
+
+def ref_shuffle(state: int, n: int) -> list[int]:
+    """range(n) shuffled by Fisher-Yates from the last position down:
+    position i swaps with a draw below i + 1, redrawn while the 64-bit
+    output is at or above the largest multiple of i + 1."""
+    items = list(range(n))
+    stream = iter(ref_xorshift_star_stream(state, 2 * n + 16))
+    for i in range(n - 1, 0, -1):
+        limit = (1 << 64) - (1 << 64) % (i + 1)
+        r = next(stream)
+        while r >= limit:
+            r = next(stream)
+        j = r % (i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
 def test_splitmix64_matches_reference():
     for x in (0, 1, 42, 2**63, M64):
         assert splitmix64(x) == ref_splitmix64(x)
@@ -32,9 +55,7 @@ def test_splitmix64_matches_reference():
 
 def test_stream_matches_reference():
     for seed, trial in ((0, 0), (1, 0), (123456789, 7)):
-        state = ref_splitmix64(ref_splitmix64(seed) ^ trial)
-        if state == 0:
-            state = 0x9E3779B97F4A7C15
+        state = ref_trial_state(seed, trial)
         assert trial_state(seed, trial) == state
         rng = XorShift64Star.for_trial(seed, trial)
         assert [rng.next_u64() for _ in range(16)] == ref_xorshift_star_stream(state, 16)
@@ -57,6 +78,16 @@ def test_shuffle_is_permutation_and_trial_dependent():
     other = list(range(20))
     XorShift64Star.for_trial(1, 1).shuffle(other)
     assert items != other  # different trials give different orders
+
+
+@pytest.mark.parametrize("seed, trial, n", [(0, 0, 0), (0, 0, 1), (1, 0, 2), (7, 3, 20),
+                                           (123456789, 7, 97), (2**63 + 5, 1, 432),
+                                           (42, 19, 432)])
+def test_shuffle_matches_reference(seed, trial, n):
+    # 432 is the edge count of the (12, 12, 12) host greedy shuffles
+    items = list(range(n))
+    XorShift64Star.for_trial(seed, trial).shuffle(items)
+    assert items == ref_shuffle(ref_trial_state(seed, trial), n)
 
 
 def test_zero_state_replaced():

@@ -483,6 +483,22 @@ def test_exact_values_on_the_40_edge_host(ps, value):
     assert is_saturated(r.witnesses[0], (4, 4, 3), pat).is_saturated
 
 
+def test_greedy_asks_contains_after_once_per_edge(monkeypatch):
+    # every scanned edge is one call through trisat.search's binding, and an
+    # edge is kept exactly when the answer is None
+    answers = []
+
+    def counting(*args):
+        answers.append(real(*args))
+        return answers[-1]
+
+    real = search.contains_after
+    monkeypatch.setattr(search, "contains_after", counting)
+    r = sat_greedy((5, 4, 4), PatternSpec(2, 2, 1), 3, 1)
+    assert len(answers) == r.nodes_explored == 3 * len(host_edges((5, 4, 4)))
+    assert sum(a is None for a in answers) == sum(r.trial_values)
+
+
 def greedy_digest() -> str:
     """sha256 over the canonical JSON of sat_greedy results on a host x
     pattern grid with several seeds: values, trial values and witnesses."""
