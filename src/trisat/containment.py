@@ -230,31 +230,28 @@ def _uncompleted(g, pat: PatternSpec):
 
     The nonedges come from g's rows as runs: u = v_i^a, v = v_j^b for b over
     the run's mask.  Per run and layout one search (:func:`_completed`)
-    finds every v of the run that some copy through u and v admits; a
-    layout that puts u and v in one class is skipped, its copies avoid uv.
+    finds every v of the run that some copy through u and v admits, over
+    the layouts of the endpoint plan of parts i and j.
     """
-    sizes, order, layouts, _, _ = _layouts(pat.sizes, g.part_sizes)
+    plan = _layouts(pat.sizes, g.part_sizes)
     adj, off = g.rows, g.offsets
     pos = 0
     for i, a, j, mask in nonedge_runs(g):
         x = off[i - 1] + a - 1
         left = mask
-        for full, where in layouts:
+        for full, cu, cv, need, _ in plan.ends[i - 1][j - 1]:
             if not left:
                 break
-            cu, cv = where[i - 1], where[j - 1]
-            if cu == cv:
-                continue
             cand = [m & adj[x] for m in full]
             cand[cu] = full[cu] ^ (1 << x)
-            done = _completed(adj, sizes, order, cand, cu, cv, full[cv], left << off[j - 1])
+            done = _completed(adj, plan.order, need, cand, cv, full[cv], left << off[j - 1])
             left &= ~(done >> off[j - 1])
         for b in iter_bits(left):
             yield pos + (mask & ((1 << (b - 1)) - 1)).bit_count(), VertexRef(i, a), VertexRef(j, b)
         pos += mask.bit_count()
 
 
-def _completed(adj, sizes, order, cand, cu, cv, own: int, goal: int) -> int:
+def _completed(adj, order, need, cand, cv, own: int, goal: int) -> int:
     """The bits of ``goal`` (second endpoints v in class cv, whose mask is
     ``own``) whose edge to u, in class cu, completes a copy in this layout.
 
@@ -262,13 +259,12 @@ def _completed(adj, sizes, order, cand, cu, cv, own: int, goal: int) -> int:
     ``goal`` and each pick outside cv narrows it to the pick's neighbours,
     so a complete fill is a copy through u and each v left in W.  ``cand``
     arrives narrowed to u's neighbours and without u; a v is in no mask,
-    so u's and v's classes need one member fewer.  A branch whose W holds
-    no v still open is cut, and the search stops once all are done.  Once
-    W holds a single v its row narrows the masks, as a fill for that one
-    nonedge would be narrowed from the start; ORed with ``own``, so v
-    leaves its own class alone.
+    so ``need``, each class's members still to pick, counts u's and v's
+    classes one short.  A branch whose W holds no v still open is cut, and
+    the search stops once all are done.  Once W holds a single v its row
+    narrows the masks, as a fill for that one nonedge would be narrowed
+    from the start; ORed with ``own``, so v leaves its own class alone.
     """
-    need = [s - (c in (cu, cv)) for c, s in enumerate(sizes)]
     done = 0
 
     def rec(k: int, cand: list[int], left: int, pool: int, w0: int) -> bool:

@@ -106,6 +106,18 @@ class _GraphReader:
         """One adjacency row per vertex position (see the module docstring)."""
         return self._adj
 
+    def part_mask(self, part: int) -> int:
+        return (1 << self.part_sizes[part - 1]) - 1
+
+    def induced(self, keep: "list[int]") -> "TripartiteGraph":
+        """The subgraph induced on the vertices whose bits are set in
+        ``keep`` (one mask per part); vertices keep their indices."""
+        kept = 0
+        for i in PARTS:
+            kept |= (keep[i - 1] & self.part_mask(i)) << self._offsets[i - 1]
+        adj = tuple(r & kept if (kept >> x) & 1 else 0 for x, r in enumerate(self._adj))
+        return TripartiteGraph(self.part_sizes, adj, sum(r.bit_count() for r in adj) // 2)
+
     def neighbors_mask(self, part: int, index: int, other_part: int) -> int:
         """Bitmask of the neighbours of v_part^index inside other_part."""
         return ((self._adj[self._offsets[part - 1] + index - 1] >> self._offsets[other_part - 1])
@@ -147,18 +159,6 @@ class TripartiteGraph(_GraphReader):
         for u, v in edges:
             b.add_edge(u, v)
         return b.build()
-
-    def part_mask(self, part: int) -> int:
-        return (1 << self.part_sizes[part - 1]) - 1
-
-    def induced(self, keep: "list[int]") -> "TripartiteGraph":
-        """The subgraph induced on the vertices whose bits are set in
-        ``keep`` (one mask per part); vertices keep their indices."""
-        kept = 0
-        for i in PARTS:
-            kept |= (keep[i - 1] & self.part_mask(i)) << self._offsets[i - 1]
-        adj = tuple(r & kept if (kept >> x) & 1 else 0 for x, r in enumerate(self._adj))
-        return TripartiteGraph(self.part_sizes, adj, sum(r.bit_count() for r in adj) // 2)
 
     def vertices(self) -> list[VertexRef]:
         return [VertexRef(i, a) for i in PARTS
@@ -269,7 +269,7 @@ def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     return TripartiteGraph.from_edges(sizes, host_edges(sizes))
 
 
-def nonedge_runs(g: TripartiteGraph) -> Iterator[tuple[int, int, int, int]]:
+def nonedge_runs(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
     """The nonedges of g relative to its complete host, as runs read from g's rows."""
     return _row_runs(g.part_sizes, lambda i, a, j: g.part_mask(j) & ~g.neighbors_mask(i, a, j))
 

@@ -8,10 +8,12 @@ three sound prunings: an included edge may never complete a copy of the
 pattern, the included count must stay below the incumbent, and every
 excluded edge must remain completable by the edges not yet excluded.
 Complete assignments that survive are exactly the saturated subgraphs.
-The search state is two bitsets over the pattern's embeddings in the host,
-``clean`` (no edge excluded) and ``once`` (exactly one edge excluded), so
-each pruning test is a few big-integer ANDs: an include is refused when a
-clean embedding ends at that edge, and an excluded edge stays completable
+The search is one recursive function whose state travels in its
+arguments, so neither branch of a node has anything to undo.  Its core
+is two bitsets over the pattern's embeddings in the host, ``clean`` (no
+edge excluded) and ``once`` (exactly one edge excluded), so each pruning
+test is a few big-integer ANDs: an include is refused when a clean
+embedding ends at that edge, and an excluded edge stays completable
 while some embedding through it is in ``once``.  Lex-leader predicates
 (Crawford, Ginsberg, Luks & Roy, KR 1996) cut the relabelings of each
 candidate: a subgraph is kept only if no swap of two adjacent vertices of
@@ -113,12 +115,12 @@ def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[in
     of the pattern in the complete host, deduplicated and sorted.  The
     class-to-part layouts are the ones the containment search explores."""
     idx = {e: k for k, e in enumerate(host_edges(sizes))}
-    class_sizes, _, layouts, verts, _ = _layouts(pat.sizes, tuple(sizes))
+    plan = _layouts(pat.sizes, tuple(sizes))
     masks: set[int] = set()
-    for full, _ in layouts:
-        classes = [[verts[b - 1] for b in iter_bits(m)] for m in full]
+    for full, _ in plan.layouts:
+        classes = [[plan.verts[b - 1] for b in iter_bits(m)] for m in full]
         for sel in itertools.product(*(itertools.combinations(vs, k)
-                                       for vs, k in zip(classes, class_sizes))):
+                                       for vs, k in zip(classes, plan.sizes))):
             mask = 0
             for s1, s2 in itertools.combinations(sel, 2):
                 for u, v in itertools.product(s1, s2):
@@ -154,24 +156,30 @@ def swap_pairs(sizes: tuple[int, int, int]) -> list[tuple[tuple[int, int], ...]]
     return pairs
 
 
-# -- branch-and-bound engine ----------------------------------------------------
+# -- branch and bound -----------------------------------------------------------
 
-class _BranchEngine:
-    """DFS over host edges on two bitsets over embedding indices.
+def _branch(n_edges: int, embeds: list[int], swaps: list[tuple[tuple[int, int], ...]],
+            enumerate_all: bool, budget: int | None) -> tuple[int, list[int], int, bool]:
+    """DFS over host edges; returns ``(best, witnesses, nodes, exhausted)``.
 
-    ``clean`` holds the embeddings with no excluded edge and ``once`` those
-    with exactly one.  Fixed per edge e: ``has[e]``, the embeddings through
-    e, and ``ends[e]``, those whose highest canonical edge is e.  Edges are
-    decided in canonical order, so when e is next the other edges of every
-    embedding in ``ends[e]`` are decided, and including e completes a copy
-    iff ``clean & ends[e]`` is nonzero; such an include is refused.  An
-    excluded edge f keeps a potential completion while ``once & has[f]`` is
-    nonzero (an embedding through f whose other edges are included or still
-    undecided); the branch dies when that set empties, which can only happen
-    to the f whose embeddings ``exclude`` moves out of ``once``, so
-    ``exclude`` scans ``excl_has`` (``has[f]`` of each excluded f) only
-    then.  At a full assignment every excluded edge is therefore completable
-    and the included set is pattern-free: exactly the saturated subgraphs.
+    A node's state is the arguments of ``dfs(e, clean, once, tight, incl,
+    total)``: e is the next edge to decide, ``incl`` the included edges as
+    a mask and ``total`` their count, and ``clean`` and ``once`` are
+    bitsets over embedding indices, the embeddings with no excluded edge
+    and those with exactly one.  Each branch passes its own values down,
+    so neither has anything to undo.  Fixed per edge e: ``has[e]``,
+    the embeddings through e, and ``ends[e]``, those whose highest
+    canonical edge is e.  Edges are decided in canonical order, so when e
+    is next the other edges of every embedding in ``ends[e]`` are decided,
+    and including e completes a copy iff ``clean & ends[e]`` is nonzero;
+    such an include is refused.  An excluded edge f keeps a potential
+    completion while ``once & has[f]`` is nonzero (an embedding through f
+    whose other edges are included or still undecided); the branch dies
+    when that set empties, which can only happen to the f whose embeddings
+    the exclude of e moves out of ``once``, so ``excl_has`` (``has[f]`` of
+    each excluded f, a stack shared by all nodes) is scanned only then.  At
+    a full assignment every excluded edge is therefore completable and the
+    included set is pattern-free: exactly the saturated subgraphs.
 
     Lex-leader predicates cut the relabelings: read as the include vector x
     in canonical order, a subgraph is kept only if no swap of two adjacent
@@ -184,97 +192,66 @@ class _BranchEngine:
     orbit first, and that member satisfies every predicate, so the reported
     witnesses and classes do not change; only ``nodes`` does.
     """
+    has = [0] * n_edges
+    ends = [0] * n_edges
+    for k, m in enumerate(embeds):
+        for e in iter_bits(m):
+            has[e - 1] |= 1 << k
+        ends[m.bit_length() - 1] |= 1 << k
+    tight = 0
+    for pairs in swaps:
+        for bit, _ in pairs:
+            tight |= bit
+    excl_has: list[int] = []
+    best = n_edges + 1
+    witnesses: list[int] = []
+    nodes = 0
 
-    __slots__ = ("n_edges", "has", "ends", "swaps", "enumerate_all", "clean", "once", "tight",
-                 "excl_has", "incl_mask", "incl_total", "best", "witnesses", "nodes", "budget")
-
-    def __init__(self, n_edges: int, embeds: list[int], swaps: list[tuple[tuple[int, int], ...]],
-                 enumerate_all: bool, budget: int | None):
-        self.n_edges = n_edges
-        self.swaps = swaps
-        self.tight = 0
-        for pairs in swaps:
-            for bit, _ in pairs:
-                self.tight |= bit
-        self.has = [0] * n_edges
-        self.ends = [0] * n_edges
-        for k, m in enumerate(embeds):
-            for e in iter_bits(m):
-                self.has[e - 1] |= 1 << k
-            self.ends[m.bit_length() - 1] |= 1 << k
-        self.enumerate_all = enumerate_all
-        self.clean = (1 << len(embeds)) - 1
-        self.once = 0
-        self.excl_has: list[int] = []
-        self.incl_mask = 0
-        self.incl_total = 0
-        self.best = n_edges + 1
-        self.witnesses: list[int] = []
-        self.nodes = 0
-        self.budget = budget
-
-    def can_include(self, e: int) -> bool:
-        if self.clean & self.ends[e]:
-            return False
-        for bit, p in self.swaps[e]:
-            if self.tight & bit and not self.incl_mask >> p & 1:
-                return False
-        return True
-
-    def include(self, e: int) -> None:
-        self.incl_mask |= 1 << e
-        self.incl_total += 1
-
-    def exclude(self, e: int) -> bool:
-        """Exclude the next edge e and push ``has[e]`` onto ``excl_has``;
-        False, with nothing pushed, when e or an earlier excluded edge is
-        left with no potential completion.  The caller restores ``clean``,
-        ``once`` and ``tight`` either way."""
-        has = self.has[e]
-        fresh = self.clean & has
-        if not fresh:
-            return False
-        lost = self.once & has
-        self.once ^= lost | fresh
-        self.clean ^= fresh
-        if lost:
-            once = self.once
-            for hf in self.excl_has:
-                if hf & lost and not hf & once:
-                    return False
-        for bit, p in self.swaps[e]:
-            if self.incl_mask >> p & 1:
-                self.tight &= ~bit
-        self.excl_has.append(has)
-        return True
-
-    def dfs(self, idx: int) -> None:
-        self.nodes += 1
-        if self.budget is not None and self.nodes > self.budget:
+    def dfs(e: int, clean: int, once: int, tight: int, incl: int, total: int) -> None:
+        nonlocal best, witnesses, nodes
+        nodes += 1
+        if budget is not None and nodes > budget:
             raise _BudgetExhausted
-        if self.enumerate_all:
-            if self.incl_total > self.best:
+        if enumerate_all:
+            if total > best:
                 return
-        elif self.incl_total >= self.best:
+        elif total >= best:
             return
-        if idx == self.n_edges:
-            v = self.incl_total
-            if v < self.best:
-                self.best = v
-                self.witnesses = [self.incl_mask]
-            elif v == self.best and self.enumerate_all:
-                self.witnesses.append(self.incl_mask)
+        if e == n_edges:
+            if total < best:
+                best = total
+                witnesses = [incl]
+            else:  # total == best, which only enumerate_all lets through
+                witnesses.append(incl)
             return
-        if self.can_include(idx):
-            self.include(idx)
-            self.dfs(idx + 1)
-            self.incl_mask ^= 1 << idx
-            self.incl_total -= 1
-        clean, once, tight = self.clean, self.once, self.tight
-        if self.exclude(idx):
-            self.dfs(idx + 1)
-            self.excl_has.pop()
-        self.clean, self.once, self.tight = clean, once, tight
+        if not clean & ends[e]:
+            for bit, p in swaps[e]:
+                if tight & bit and not incl >> p & 1:
+                    break
+            else:
+                dfs(e + 1, clean, once, tight, incl | 1 << e, total + 1)
+        has_e = has[e]
+        fresh = clean & has_e
+        if not fresh:
+            return
+        lost = once & has_e
+        once ^= lost | fresh
+        if lost:
+            for hf in excl_has:
+                if hf & lost and not hf & once:
+                    return
+        for bit, p in swaps[e]:
+            if incl >> p & 1:
+                tight &= ~bit
+        excl_has.append(has_e)
+        dfs(e + 1, clean ^ fresh, once, tight, incl, total)
+        excl_has.pop()
+
+    try:
+        dfs(0, (1 << len(embeds)) - 1, 0, tight, 0, 0)
+    except _BudgetExhausted:
+        return best, witnesses, nodes, True
+    return best, witnesses, nodes, False
 
 
 def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
@@ -295,24 +272,20 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         raise SearchError(
             f"host has {n_edges} edges, too deep for the recursion limit "
             f"{sys.getrecursionlimit()}")
-    eng = _BranchEngine(n_edges, pattern_edge_masks(sizes, pat), swap_pairs(sizes),
-                        enumerate_all, node_budget)
-    status = "complete"
-    try:
-        eng.dfs(0)
-    except _BudgetExhausted:
-        status = "budget_exhausted"
+    best, masks, nodes, exhausted = _branch(n_edges, pattern_edge_masks(sizes, pat),
+                                            swap_pairs(sizes), enumerate_all, node_budget)
     # one witness per part-respecting isomorphism class; only graphs with
     # equal invariants can be isomorphic
     witnesses: list[TripartiteGraph] = []
     keys: list[tuple] = []
-    for g in (_mask_to_graph(sizes, edges, m) for m in eng.witnesses):
+    for g in (_mask_to_graph(sizes, edges, m) for m in masks):
         key = iso_invariant(g)
         if not any(k == key and iso_equivalent(g, h) for k, h in zip(keys, witnesses)):
             witnesses.append(g)
             keys.append(key)
-    return SearchResult(value=eng.best if eng.witnesses else None, witnesses=witnesses,
-                        nodes_explored=eng.nodes, method="exact", status=status)
+    return SearchResult(value=best if masks else None, witnesses=witnesses,
+                        nodes_explored=nodes, method="exact",
+                        status="budget_exhausted" if exhausted else "complete")
 
 
 def sat_exact(host_sizes, pat: PatternSpec, node_budget: int | None = None, *,

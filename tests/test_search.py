@@ -479,6 +479,8 @@ def test_exact_values_on_the_40_edge_host(ps, value):
     pat = PatternSpec(*ps)
     r = sat_exact((4, 4, 3), pat)
     assert (r.value, r.status) == (value, "complete")
+    # the node counts of the ROADMAP baseline
+    assert r.nodes_explored == {(1, 1, 1): 698259, (2, 2, 1): 598740}[ps]
     assert r.witnesses[0].num_edges == value
     assert is_saturated(r.witnesses[0], (4, 4, 3), pat).is_saturated
 
@@ -514,3 +516,29 @@ def test_greedy_outputs_pinned_by_digest():
     # containment kernel's answers on the builder greedy mutates
     assert greedy_digest() == (
         "6ea17ed65b1182002b017a6ad80a3d59386782419286997243e311ebb03eef27")
+
+
+# every host n1 >= n2 >= n3 >= 1 with at most 27 edges; it has at least
+# 2 n1 + 1 of them, so n1 <= 13
+_HOSTS_TO_27 = [(a, b, c) for a in range(1, 14) for b in range(1, a + 1) for c in range(1, b + 1)
+                if a * b + a * c + b * c <= 27]
+
+
+def exact_digest() -> str:
+    """sha256 over the canonical JSON of sat_exact and enumerate_optima
+    results: on every host with at most 27 edges, and on the 40-edge host
+    under node budgets, which pins the incumbents a cut search reports."""
+    pats = [PatternSpec(*ps) for ps in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 0))]
+    objs = [fn(host, pat).to_json_obj()
+            for host in _HOSTS_TO_27 for pat in pats for fn in (sat_exact, enumerate_optima)]
+    objs += [fn((4, 4, 3), pat, node_budget=budget).to_json_obj()
+             for pat in pats for budget in (1, 10, 100, 1000, 10000)
+             for fn in (sat_exact, enumerate_optima)]
+    return hashlib.sha256(json.dumps(objs, sort_keys=True).encode()).hexdigest()
+
+
+def test_exact_outputs_pinned_by_digest():
+    # values, statuses, node counts and every witness, complete or cut
+    assert len(_HOSTS_TO_27) == 32
+    assert exact_digest() == (
+        "fcc66ffc4b1358bfd07b243b0a668d79ece7af7fbcef26be719c38d96a0b9a33")

@@ -214,6 +214,22 @@ def test_residual_structure_check_matches_brute_force():
         assert rep.degrees == degrees
 
 
+def test_builders_read_as_their_builds():
+    # the read-only checks take a GraphBuilder as they take its build(): a
+    # pattern-free builder, whose nonedges are all swept, and one that
+    # contains the pattern
+    pat = PatternSpec(1, 1, 1)
+    free = GraphBuilder.from_graph(construction1(1, 1, 5, 5, 5))
+    free.remove_edge(*free.edges()[0])
+    full = GraphBuilder.from_graph(new_host(3, 3, 3))
+    for b, is_free in ((free, True), (full, False)):
+        g, hubs = b.build(), [{1}, set(), {2}]
+        rep = is_saturated(b, g.part_sizes, pat)
+        assert rep.is_pattern_free == is_free
+        assert rep.to_json_obj() == is_saturated(g, g.part_sizes, pat).to_json_obj()
+        assert residual_structure_check(b, hubs) == residual_structure_check(g, hubs)
+
+
 # (family, n, parameters) of the verify benchmark's four families at small n
 _PINNED_FAMILIES = (("1", 10, {"l": 1, "m": 1}), ("c4", 6, {}),
                     ("3", 8, {"l": 2, "m": 2, "p": 1}), ("5", 6, {"l": 4, "m": 2, "p": 1}))
