@@ -418,8 +418,7 @@ def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
     family's record refuses, and refuses a parameter given (not None) that
     the family does not read: l, m or p unless its record names it, variant
     unless the family is construction 2, and construction 2's variant
-    unless it is 1, 2 or 3, before any host check.  :func:`build` ignores
-    them."""
+    unless it is 1, 2 or 3, before any host check."""
     if which == "2" and variant is not None:
         _check_variant(variant)
     try:
@@ -450,7 +449,9 @@ def admit(which: str, n1: int, n2: int, n3: int, l: int | None = None,
 def build(which: str, n1: int, n2: int, n3: int, l: int | None = None,
           m: int | None = None, p: int | None = None, variant: int = 1, *,
           force: bool = False) -> TripartiteGraph:
-    """Dispatch a construction by name ('1'..'5' or 'c4')."""
+    """Dispatch a construction by name ('1'..'5' or 'c4'), refusing first what
+    :func:`formula_for` refuses: an l, m or p the family does not read too."""
+    formula_for(which, n1, n2, n3, l, m, p)
     return _family(which).builder((n1, n2, n3), l, m, p, variant, force)
 
 

@@ -16,11 +16,13 @@ An experiment spec is a JSON document::
                                           "trials": 10, "seed": 1}}
      ]}
 
-The schema is validated before anything runs and unknown fields are
-rejected.  So is a run's pattern, and a construction run whose family
-refuses its parameters, does not read one of them, or (without
-``force``) fails its record's hypothesis.  Rows come out in spec order
-with the fixed header
+``parse_spec`` validates the whole spec before anything runs and returns
+its runs as a tuple.  Each action's required and optional params are
+listed once, in ``_ACTIONS``; unknown fields are rejected.  So is a run's
+pattern, and a construction run whose family refuses its parameters,
+does not read one of them, or (without ``force``) fails its record's
+hypothesis.  Rows come out in spec order under ``CSV_HEADER``, the one
+place the columns are named:
 
     action,params,construction_edges,formula_value,greedy_min,exact_value_or_blank,hypothesis_satisfied
 
@@ -38,7 +40,6 @@ reproducible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from . import constructions
 from .patterns import PatternSpec
@@ -48,18 +49,13 @@ from .serialization import serialize
 CSV_HEADER = ("action,params,construction_edges,formula_value,greedy_min,"
               "exact_value_or_blank,hypothesis_satisfied")
 
+# action -> (required params, optional params)
 _ACTIONS = {
-    "construct": {"construction", "l", "m", "p", "variant", "n1", "n2", "n3", "force"},
-    "exact": {"n1", "n2", "n3", "pattern", "budget"},
-    "greedy": {"n1", "n2", "n3", "pattern", "trials", "seed"},
-    "compare": {"construction", "l", "m", "p", "variant", "n1", "n2", "n3",
-                "trials", "seed", "force"},
-}
-_REQUIRED = {
-    "construct": {"construction", "n1", "n2", "n3"},
-    "exact": {"n1", "n2", "n3", "pattern"},
-    "greedy": {"n1", "n2", "n3", "pattern", "trials", "seed"},
-    "compare": {"construction", "n1", "n2", "n3", "trials", "seed"},
+    "construct": ({"construction", "n1", "n2", "n3"}, {"l", "m", "p", "variant", "force"}),
+    "exact": ({"n1", "n2", "n3", "pattern"}, {"budget"}),
+    "greedy": ({"n1", "n2", "n3", "pattern", "trials", "seed"}, set()),
+    "compare": ({"construction", "n1", "n2", "n3", "trials", "seed"},
+                {"l", "m", "p", "variant", "force"}),
 }
 
 
@@ -67,15 +63,8 @@ class ExperimentError(ValueError):
     """Malformed experiment specification."""
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
-    """Validated list of runs, in input order."""
-
-    version: int
-    runs: tuple
-
-
-def parse_spec(obj: object) -> ExperimentSpec:
+def parse_spec(obj: object) -> tuple:
+    """The spec's runs, in input order, once every one has been validated."""
     if not isinstance(obj, dict):
         raise ExperimentError("spec must be a JSON object")
     unknown = set(obj) - {"version", "runs"}
@@ -88,7 +77,7 @@ def parse_spec(obj: object) -> ExperimentSpec:
         raise ExperimentError("'runs' must be a nonempty list")
     for k, run in enumerate(runs):
         _validate_run(run, k)
-    return ExperimentSpec(version=1, runs=tuple(runs))
+    return tuple(runs)
 
 
 def _validate_run(run: object, k: int) -> None:
@@ -106,11 +95,11 @@ def _validate_run(run: object, k: int) -> None:
     params = run.get("params")
     if not isinstance(params, dict):
         raise ExperimentError(f"{where}: 'params' must be an object")
-    allowed = _ACTIONS[action]
-    bad = set(params) - allowed
+    required, optional = _ACTIONS[action]
+    bad = set(params) - required - optional
     if bad:
         raise ExperimentError(f"{where}: unknown params {sorted(bad)} for action {action}")
-    missing = _REQUIRED[action] - set(params)
+    missing = required - set(params)
     if missing:
         raise ExperimentError(f"{where}: missing params {sorted(missing)} for action {action}")
     for key, val in params.items():
@@ -151,14 +140,12 @@ def _params_token(params: dict) -> str:
 def run_table(spec_obj: object) -> str:
     """Execute a validated spec and render the CSV text (LF line endings).
     The runs' ``out`` files are written only once every run has succeeded."""
-    spec = parse_spec(spec_obj)
     lines = [CSV_HEADER]
     outputs = []  # (path, bytes) in run order
-    for run in spec.runs:
+    for run in parse_spec(spec_obj):
         action, params = run["action"], run["params"]
         out_path = run.get("out")
-        row = {"construction_edges": "", "formula_value": "", "greedy_min": "",
-               "exact_value_or_blank": "", "hypothesis_satisfied": ""}
+        row = dict.fromkeys(CSV_HEADER.split(",")[2:], "")
         host = (params.get("n1"), params.get("n2"), params.get("n3"))
         if action in ("construct", "compare"):
             which = params["construction"]
@@ -190,10 +177,7 @@ def run_table(spec_obj: object) -> str:
                 row["greedy_min"] = str(res.value)
             if out_path:
                 outputs.append((out_path, (json.dumps(res.to_json_obj()) + "\n").encode("ascii")))
-        lines.append(",".join([action, _params_token(params),
-                               row["construction_edges"], row["formula_value"],
-                               row["greedy_min"], row["exact_value_or_blank"],
-                               row["hypothesis_satisfied"]]))
+        lines.append(",".join([action, _params_token(params), *row.values()]))
     for path, payload in outputs:
         with open(path, "wb") as fh:
             fh.write(payload)

@@ -26,11 +26,15 @@ from __future__ import annotations
 
 import itertools
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterator
 
 PARTS = (1, 2, 3)
 PAIR_ORDER = ((1, 2), (1, 3), (2, 3))
+
+# frames kept free below the recursion limit for the callers of a recursive search
+_STACK_MARGIN = 200
 
 
 class GraphError(ValueError):
@@ -39,16 +43,24 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True, order=True)
 class VertexRef:
-    """Address of one vertex: v_part^index, both 1-based."""
+    """Address of one vertex: v_part^index, both 1-based plain ints (a numpy
+    integer is converted; a bool, float or other value raises GraphError)."""
 
     part: int
     index: int
 
     def __post_init__(self) -> None:
-        if self.part not in PARTS:
-            raise GraphError(f"part must be one of {PARTS}, got {self.part}")
-        if self.index < 1:
-            raise GraphError(f"vertex index must be >= 1, got {self.index}")
+        part, index = self.part, self.index
+        if type(part) is not int or type(index) is not int:
+            part, index = exact_int(part), exact_int(index)
+            if part is None or index is None:
+                raise GraphError(f"part and index must be integers, got {self.part!r}, {self.index!r}")
+            object.__setattr__(self, "part", part)
+            object.__setattr__(self, "index", index)
+        if part not in PARTS:
+            raise GraphError(f"part must be one of {PARTS}, got {part}")
+        if index < 1:
+            raise GraphError(f"vertex index must be >= 1, got {index}")
 
     def __repr__(self) -> str:
         return f"v{self.part}^{self.index}"
@@ -324,10 +336,15 @@ def iso_equivalent(g: TripartiteGraph, h: TripartiteGraph) -> bool:
     Each vertex's signature and triangle count are read once; every part
     permutation whose per-part multisets of these agree runs
     ``_iso_backtrack``, which maps g's positions in order, part 1 first.
-    Exact; for parts up to ~12.
+    Exact; for parts up to ~12.  It recurses once per vertex, so a graph
+    too large for the recursion limit raises :class:`GraphError`.
     """
     if sorted(g.part_sizes) != sorted(h.part_sizes) or g.num_edges != h.num_edges:
         return False
+    n = len(g.rows)
+    if n + _STACK_MARGIN > sys.getrecursionlimit():
+        raise GraphError(f"graph has {n} vertices, too deep for the recursion limit "
+                         f"{sys.getrecursionlimit()}")
 
     def keyed(x: TripartiteGraph) -> list:
         # per part, each vertex's signature followed by its triangle count

@@ -39,8 +39,8 @@ import sys
 from dataclasses import dataclass
 
 from .containment import _layouts, contains_after
-from .graphs import (GraphBuilder, TripartiteGraph, VertexRef, exact_int, host_edges,
-                     iso_equivalent, iso_invariant, iter_bits)
+from .graphs import (_STACK_MARGIN, GraphBuilder, TripartiteGraph, VertexRef, exact_int,
+                     host_edges, iso_equivalent, iso_invariant, iter_bits)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -49,10 +49,6 @@ from .verifier import is_saturated
 
 class SearchError(ValueError):
     """Invalid search query or violated search guard."""
-
-
-# frames kept free below the recursion limit for the callers of the search
-_STACK_MARGIN = 200
 
 
 class _BudgetExhausted(Exception):

@@ -8,8 +8,10 @@ Two formats, both listing edges in canonical order:
   by one line ``i a j b`` per edge, newline-terminated; every number is
   plain decimal digits (no sign, no ``_`` separator).
 
-``deserialize`` auto-detects the format.  Malformed input raises
-:class:`FormatError` carrying the offending line or JSON position.
+``deserialize`` is the one way in: it auto-detects the format from the
+first non-blank text (``{`` or ``tripartite``) and hands it to that
+format's decoder.  Malformed input raises :class:`FormatError` carrying
+the offending line, edge row or JSON position.
 """
 
 from __future__ import annotations
@@ -57,7 +59,11 @@ def deserialize(data: bytes) -> TripartiteGraph:
     raise FormatError("unrecognized format: expected a JSON object or a 'tripartite' header")
 
 
-def graph_from_json_obj(obj: object) -> TripartiteGraph:
+def _from_json(text: str) -> TripartiteGraph:
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise FormatError("input: expected a JSON object")
     unknown = set(obj) - {"parts", "edges"}
@@ -84,14 +90,6 @@ def graph_from_json_obj(obj: object) -> TripartiteGraph:
     return b.build()
 
 
-def _from_json(text: str) -> TripartiteGraph:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    return graph_from_json_obj(obj)
-
-
 def decimal_ints(fields: list[str]) -> list[int]:
     """The fields as ints; ValueError unless each is plain ASCII decimal
     digits (Python's ``int`` also takes signs, ``_``, spaces and non-ASCII
@@ -103,8 +101,6 @@ def decimal_ints(fields: list[str]) -> list[int]:
 
 def _from_edge_lines(text: str) -> TripartiteGraph:
     lines = text.splitlines()
-    if not lines:
-        raise FormatError("empty input")
     head = lines[0].split()
     if len(head) != 4 or head[0] != "tripartite":
         raise FormatError("line 1: expected header 'tripartite n1 n2 n3'")

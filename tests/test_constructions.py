@@ -263,6 +263,20 @@ def test_construction_edge_sets_pinned():
     assert digest.hexdigest() == "4651d2bf7fd95f6ef54ef2f47957749e43f518f670231341c36365dd38b3a5c2"
 
 
+@pytest.mark.parametrize("which, kw, unread", [
+    ("1", dict(l=1, m=1, p=3), "p"), ("c4", dict(l=7), "l"), ("c4", dict(l=2, m=2, p=0), "l, m, p"),
+    ("4", dict(l=3, m=1, p=1), "p"),
+])
+def test_build_refuses_parameters_its_family_does_not_read(which, kw, unread):
+    # build and formula_for refuse alike, force or not
+    message = f"construction {which} does not read {unread}"
+    with pytest.raises(ConstructionError, match=f"^{message}$"):
+        formula_for(which, 6, 6, 6, **kw)
+    for force in (False, True):
+        with pytest.raises(ConstructionError, match=f"^{message}$"):
+            build(which, 6, 6, 6, **kw, force=force)
+
+
 def _regime_grid():
     for l in range(1, 6):
         for m in range(1, l + 1):

@@ -1,9 +1,16 @@
 """Experiment spec validation and table reproducibility."""
 
+import copy
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from trisat import ConstructionError, SearchError
 from trisat.experiments import CSV_HEADER, ExperimentError, parse_spec, run_table
+
+SPEC = json.loads((Path(__file__).parent / "data" / "experiment_spec.json").read_text())
 
 
 def spec_of(*runs):
@@ -141,3 +148,42 @@ def test_force_admits_failed_hypothesis_and_variant_reads():
                                                  "variant": 3, "n1": 5, "n2": 5, "n3": 5}}
     rows = run_table(spec_of(forced, variant)).splitlines()
     assert [r.split(",")[-1] for r in rows[1:]] == ["false", "true"]
+
+
+def spec_outcomes_digest() -> str:
+    """sha256 over parse_spec's verdict ("ok" or the ExperimentError message)
+    on mutations of the golden spec: per run, the action set to each action
+    and to "warp"; each param dropped or set to 1.5, True, "3", None or
+    [1, 1, 1]; an unknown param; a non-string out.  Then three whole-spec
+    mutations: version 2, no runs and an unknown top-level key."""
+    specs = []
+    for k, run in enumerate(SPEC["runs"]):
+        def mutated(edit):
+            spec = copy.deepcopy(SPEC)
+            edit(spec["runs"][k])
+            return spec
+        for action in ("construct", "exact", "greedy", "compare", "warp"):
+            specs.append(mutated(lambda r: r.update(action=action)))
+        for key in run["params"]:
+            specs.append(mutated(lambda r: r["params"].pop(key)))
+            for val in (1.5, True, "3", None, [1, 1, 1]):
+                specs.append(mutated(lambda r: r["params"].update({key: val})))
+        specs.append(mutated(lambda r: r["params"].update(bogus=1)))
+        specs.append(mutated(lambda r: r.update(out=7)))
+    specs += [dict(SPEC, version=2), dict(SPEC, runs=[]), dict(SPEC, extra=1)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        try:
+            parse_spec(spec)
+            outcome = "ok"
+        except ExperimentError as exc:
+            outcome = str(exc)
+        digest.update(outcome.encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_spec_validation_outcomes_pinned_by_digest():
+    # every accept/reject decision and message of the spec validator
+    assert len(SPEC["runs"]) == 10
+    assert spec_outcomes_digest() == (
+        "be2ef9e830fdbc06eaa17fac7113e1a6aa8022e7f29f7acee755785303ab4f35")

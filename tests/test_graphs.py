@@ -151,10 +151,26 @@ def test_builder_publish_is_snapshot():
 
 
 def test_vertexref_validation():
-    with pytest.raises(GraphError):
-        VertexRef(4, 1)
-    with pytest.raises(GraphError):
-        VertexRef(1, 0)
+    # out of range, and anything but an integer: bools, floats, strings, None
+    for part, index in [(4, 1), (1, 0), (True, 1), (1, True), (1.0, 1), (1, 1.0),
+                        (1, 1.5), ("1", 1), (1, None)]:
+        with pytest.raises(GraphError):
+            VertexRef(part, index)
+
+
+def test_numpy_integer_refs_build_the_plain_int_graph():
+    # a numpy integer shift (1 << np.int64(119)) wraps, so refs must hold plain ints
+    sizes, rng = (40, 40, 40), random.Random(3)
+    edges = rng.sample(host_edges(sizes), 400) + [(VertexRef(1, 40), VertexRef(3, 40))]
+    plain, as_np = GraphBuilder(sizes), GraphBuilder(sizes)
+    for u, v in edges:
+        plain.add_edge(u, v)
+        as_np.add_edge(VertexRef(np.int64(u.part), np.int64(u.index)),
+                       VertexRef(np.int32(v.part), np.int64(v.index)))
+    assert as_np.build() == plain.build()
+    assert as_np.edges() == plain.edges() and len(as_np.edges()) == 401
+    ref = VertexRef(np.int64(3), np.int64(40))
+    assert (type(ref.part), type(ref.index)) == (int, int) and ref == VertexRef(3, 40)
 
 
 def test_edge_count_consistency_randomized():

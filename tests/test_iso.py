@@ -4,7 +4,9 @@ import hashlib
 import itertools
 import random
 
-from trisat import (GraphBuilder, TripartiteGraph, VertexRef, construction1,
+import pytest
+
+from trisat import (GraphBuilder, GraphError, TripartiteGraph, VertexRef, construction1,
                     construction2, degree_profile, host_nonedges, iso_equivalent)
 from trisat.graphs import iso_invariant
 from conftest import random_graph, random_sizes
@@ -58,6 +60,16 @@ def test_iso_size_mismatch_false():
     g = GraphBuilder((2, 2, 1)).build()
     h = GraphBuilder((2, 2, 2)).build()
     assert not iso_equivalent(g, h)
+
+
+def test_iso_too_deep_for_the_recursion_limit_raises_graph_error():
+    # the backtracking recurses once per vertex: 1,200 vertices exceed the
+    # default limit, 300 do not
+    small = construction1(1, 1, 100, 100, 100)
+    assert iso_equivalent(small, small)
+    big = construction1(1, 1, 400, 400, 400)
+    with pytest.raises(GraphError, match="1200 vertices, too deep for the recursion limit"):
+        iso_equivalent(big, big)
 
 
 def test_variant_constructions_isomorphic_on_balanced_host():
