@@ -151,8 +151,8 @@ class _GraphReader:
         return self._adj[self._pos(v)].bit_count()
 
     def edges(self) -> list[tuple[VertexRef, VertexRef]]:
-        """All edges in canonical order."""
-        return _walk_rows(_row_runs(self.part_sizes, self.neighbors_mask))
+        """All edges in canonical order, read from the walk of :func:`edge_ints`."""
+        return [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, b in edge_ints(self)]
 
 
 class TripartiteGraph(_GraphReader):
@@ -205,7 +205,16 @@ class TripartiteGraph(_GraphReader):
 
 
 class GraphBuilder(_GraphReader):
-    """Mutable edge-set stage for assembling a TripartiteGraph."""
+    """Mutable edge-set stage for assembling a TripartiteGraph.
+
+    Every edge write is ``_join(i, a, j, b)`` on plain ints: it checks
+    parts, ranges and absence, then sets the two row bits.  ``add_edge`` is
+    that write on a pair of refs, and the decoders of
+    :mod:`trisat.serialization` call it with the ints they parsed.  A
+    refused edge raises the GraphError of its first failed check: the
+    refs' own checks, then same part, then u's range, then v's range,
+    then duplicate; ``remove_edge`` shares the position step.
+    """
 
     __slots__ = ()
 
@@ -225,22 +234,32 @@ class GraphBuilder(_GraphReader):
         b._num_edges = g.num_edges
         return b
 
-    def _pair(self, u: VertexRef, v: VertexRef) -> tuple[int, int]:
-        """The positions of u and v; raises unless they could be joined."""
-        if u.part == v.part:
+    def _place(self, i: int, a: int, j: int, b: int) -> tuple[int, int]:
+        """The positions of v_i^a and v_j^b in distinct parts, checked on the
+        plain ints; only a refused pair builds its refs, for the message."""
+        sizes = self.part_sizes
+        if i != j and 0 < i < 4 and 0 < j < 4 and 0 < a <= sizes[i - 1] and 0 < b <= sizes[j - 1]:
+            return self._offsets[i - 1] + a - 1, self._offsets[j - 1] + b - 1
+        u, v = VertexRef(i, a), VertexRef(j, b)
+        if i == j:
             raise GraphError(f"{u} and {v} lie in the same part")
         return self._pos(u), self._pos(v)
 
-    def add_edge(self, u: VertexRef, v: VertexRef) -> None:
-        x, y = self._pair(u, v)
-        if (self._adj[x] >> y) & 1:
-            raise GraphError(f"edge {u}{v} already present")
-        self._adj[x] |= 1 << y
-        self._adj[y] |= 1 << x
+    def _join(self, i: int, a: int, j: int, b: int) -> None:
+        """Add the edge v_i^a v_j^b: the one edge write, on plain ints."""
+        x, y = self._place(i, a, j, b)
+        adj = self._adj
+        if (adj[x] >> y) & 1:
+            raise GraphError(f"edge {VertexRef(i, a)}{VertexRef(j, b)} already present")
+        adj[x] |= 1 << y
+        adj[y] |= 1 << x
         self._num_edges += 1
 
+    def add_edge(self, u: VertexRef, v: VertexRef) -> None:
+        self._join(u.part, u.index, v.part, v.index)
+
     def remove_edge(self, u: VertexRef, v: VertexRef) -> None:
-        x, y = self._pair(u, v)
+        x, y = self._place(u.part, u.index, v.part, v.index)
         if not (self._adj[x] >> y) & 1:
             raise GraphError(f"edge {u}{v} not present")
         self._adj[x] ^= 1 << y
@@ -267,6 +286,13 @@ def _walk_rows(runs) -> list[tuple[VertexRef, VertexRef]]:
             for b in iter_bits(mask)]
 
 
+def edge_ints(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
+    """g's edges as ``(i, a, j, b)`` for v_i^a v_j^b, in canonical order, read
+    from its rows: the one edge walk behind ``edges()`` and serialization."""
+    return ((i, a, j, b) for i, a, j, mask in _row_runs(g.part_sizes, g.neighbors_mask)
+            for b in iter_bits(mask))
+
+
 def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
     """Every edge of the complete host on these part sizes, in canonical order."""
     sizes = _check_sizes(sizes)
@@ -289,6 +315,13 @@ def nonedge_runs(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
 def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
     """Nonedges of g relative to the complete host on its own part sizes."""
     return _walk_rows(nonedge_runs(g))
+
+
+def min_degrees(g: _GraphReader) -> tuple[int, int, int]:
+    """Per part, the least degree of its vertices, read as row bit counts."""
+    rows = g.rows
+    return tuple(min(map(int.bit_count, rows[o:o + n]))  # type: ignore[return-value]
+                 for n, o in zip(g.part_sizes, g.offsets))
 
 
 def _signatures(g: _GraphReader) -> list[list[tuple[int, int, int]]]:
@@ -315,7 +348,7 @@ def degree_profile(g: TripartiteGraph) -> DegreeProfile:
     split = {VertexRef(i, a): {j: s[j - 1], k: s[k - 1]}
              for i, j, k, part in zip(PARTS, (2, 1, 1), (3, 3, 2), sigs)
              for a, s in enumerate(part, 1)}
-    return DegreeProfile(delta=tuple(min(map(sum, part)) for part in sigs), split=split)
+    return DegreeProfile(delta=min_degrees(g), split=split)
 
 
 def iso_invariant(g: TripartiteGraph) -> tuple:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .containment import _uncompleted, contains, contains_after
 # bench/tracing.py patches the host_nonedges binding of this module
 from .graphs import (PARTS, TripartiteGraph, VertexRef, degree_profile, exact_int,
-                     host_nonedges)
+                     host_nonedges, min_degrees)
 from .patterns import Embedding, PatternSpec
 
 
@@ -74,7 +74,10 @@ def is_saturated(g: TripartiteGraph, host_sizes: tuple[int, int, int],
     """Exhaustive saturation check of g inside the complete host.
 
     With ``early_exit`` the nonedge scan stops at the first violation; by
-    default it scans everything so the report lists all violations.
+    default it scans everything so the report lists all violations.  The
+    report's ``degree_profile``, each part's minimum degree, is read from
+    row bit counts by ``graphs.min_degrees``, which also gives
+    ``degree_profile(g).delta``.
     """
     if tuple(host_sizes) != g.part_sizes:
         raise VerifierError(
@@ -100,7 +103,7 @@ def is_saturated(g: TripartiteGraph, host_sizes: tuple[int, int, int],
         forbidden_witness=witness,
         violating_nonedges=violations,
         checked_nonedges=checked,
-        degree_profile=degree_profile(g).delta,
+        degree_profile=min_degrees(g),
     )
 
 

@@ -9,7 +9,7 @@ import pytest
 from trisat import (GraphBuilder, PatternSpec, TripartiteGraph, VertexRef, VerifierError,
                     construction1, construction3, construction5,
                     construction_c4, constructions, contains, contains_naive,
-                    degree_threshold_check, host_nonedges, is_saturated,
+                    degree_profile, degree_threshold_check, host_nonedges, is_saturated,
                     new_host, residual_structure_check)
 from conftest import random_graph, random_sizes
 
@@ -85,6 +85,30 @@ def test_nonedge_sweep_matches_naive_oracle(sizes):
                                           else len(nonedges))
         violated += bool(naive)
     assert violated >= {PatternSpec(1, 1, 0): 0, PatternSpec(3, 1, 0): 5}.get(pat, 10)
+
+
+def test_report_degree_profile_is_the_least_vertex_degree_per_part():
+    # the report reads row bit counts; compare with the per-vertex split degrees
+    rnd = random.Random(31)
+    graphs = [GraphBuilder((3, 2, 1)).build()]
+    for _ in range(60):
+        sizes = random_sizes(rnd, max_size=5)
+        g = random_graph(rnd, sizes, density=rnd.random())
+        graphs.append(g)
+        b = GraphBuilder.from_graph(g)  # one isolated vertex in each part
+        for i, n in zip((1, 2, 3), sizes):
+            v = VertexRef(i, rnd.randint(1, n))
+            for u, w in b.edges():
+                if v in (u, w):
+                    b.remove_edge(u, w)
+        graphs.append(b.build())
+    for g in graphs:
+        prof = degree_profile(g)
+        per_vertex = tuple(min(prof.degree(VertexRef(i, a)) for a in range(1, n + 1))
+                           for i, n in zip((1, 2, 3), g.part_sizes))
+        assert is_saturated(g, g.part_sizes, PatternSpec(1, 1, 1)).degree_profile == (
+            prof.delta) == per_vertex
+    assert all(degree_profile(g).delta == (0, 0, 0) for g in graphs[::2])
 
 
 def test_certificate_soundness_direct_recheck():
