@@ -19,11 +19,11 @@ Every residual comes from one generator, ``_windows(res, w, shift)``, on
 three position ranges of sizes ``res``: position a of part 3 joins the w
 positions from a in parts 1 and 2, and position a of part 2 joins the w
 positions from a + shift in part 1, positions reduced within their range
-via rho(x) = ((x-1) mod N) + 1.  ``_place`` adds such position pairs as
-edges above an index base; hub joins, hub triangles and the C4 stars go
-through it as well.  The families differ only in the residual sizes, the
-base and the shift: w for constructions 1, 2 and 4 (whose residual is
-triangle-free), 0 for constructions 3 and 5.
+via rho(x) = ((x-1) mod N) + 1.  ``_place`` writes such position pairs as
+int edges above an index base; hub joins, hub triangles and the C4 stars
+go through it as well.  The families differ only in the residual sizes,
+the base and the shift: w for constructions 1, 2 and 4 (whose residual
+is triangle-free), 0 for constructions 3 and 5.
 
 Every generator and every construction run of an experiment spec passes
 one rule, :func:`admit`, built on :func:`formula_for`: parameters the
@@ -68,9 +68,8 @@ def _place(b: GraphBuilder, base: int, pairs: Iterable[tuple[int, int, int, int]
     """Add the position pairs (i, a, j, c) as edges v_i^{base+a} v_j^{base+c};
     constructions define edge sets as unions, so re-adding is a no-op."""
     for i, a, j, c in pairs:
-        u, v = VertexRef(i, base + a), VertexRef(j, base + c)
-        if not b.has_edge(u, v):
-            b.add_edge(u, v)
+        if not b.neighbors_mask(i, base + a, j) >> (base + c - 1) & 1:
+            b._join(i, base + a, j, base + c)
 
 
 def _join_sets(b: GraphBuilder, sets: dict[int, range]) -> None:

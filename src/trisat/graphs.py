@@ -19,7 +19,9 @@ A published ``TripartiteGraph`` is an immutable value and safe to share;
 ``GraphBuilder`` is the single-owner mutable stage used while assembling
 one.  The canonical edge order used everywhere (iteration, serialization,
 search) is: part pair (1,2) before (1,3) before (2,3), and
-lexicographic by (a, b) within a pair.
+lexicographic by (a, b) within a pair.  Edge lists are walked as
+``(i, a, j, b)`` ints (``edge_ints``, the host's ``host_edge_ints``), and
+``VertexRef`` pairs are views built at the end of a walk.
 """
 
 from __future__ import annotations
@@ -152,7 +154,7 @@ class _GraphReader:
 
     def edges(self) -> list[tuple[VertexRef, VertexRef]]:
         """All edges in canonical order, read from the walk of :func:`edge_ints`."""
-        return [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, b in edge_ints(self)]
+        return _refs(edge_ints(self))
 
 
 class TripartiteGraph(_GraphReader):
@@ -280,23 +282,32 @@ def _row_runs(sizes: tuple[int, int, int], row_bits) -> Iterator[tuple[int, int,
             for a in range(1, sizes[i - 1] + 1))
 
 
-def _walk_rows(runs) -> list[tuple[VertexRef, VertexRef]]:
-    """The pairs named by ``runs``, in run order."""
-    return [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, mask in runs
-            for b in iter_bits(mask)]
+def _pairs(runs) -> Iterator[tuple[int, int, int, int]]:
+    """The pairs ``(i, a, j, b)`` named by ``runs``, in run order."""
+    return ((i, a, j, b) for i, a, j, mask in runs for b in iter_bits(mask))
+
+
+def _refs(pairs) -> list[tuple[VertexRef, VertexRef]]:
+    """The pairs ``(i, a, j, b)`` as (v_i^a, v_j^b): the VertexRef view of an int walk."""
+    return [(VertexRef(i, a), VertexRef(j, b)) for i, a, j, b in pairs]
 
 
 def edge_ints(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
     """g's edges as ``(i, a, j, b)`` for v_i^a v_j^b, in canonical order, read
     from its rows: the one edge walk behind ``edges()`` and serialization."""
-    return ((i, a, j, b) for i, a, j, mask in _row_runs(g.part_sizes, g.neighbors_mask)
-            for b in iter_bits(mask))
+    return _pairs(_row_runs(g.part_sizes, g.neighbors_mask))
+
+
+def host_edge_ints(sizes: tuple[int, int, int]) -> list[tuple[int, int, int, int]]:
+    """Every edge of the complete host on these part sizes as ``(i, a, j, b)``,
+    in canonical order: the one host walk, which exact search numbers."""
+    sizes = _check_sizes(sizes)
+    return list(_pairs(_row_runs(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1)))
 
 
 def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:
     """Every edge of the complete host on these part sizes, in canonical order."""
-    sizes = _check_sizes(sizes)
-    return _walk_rows(_row_runs(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1))
+    return _refs(host_edge_ints(sizes))
 
 
 def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
@@ -304,7 +315,10 @@ def new_host(n1: int, n2: int, n3: int) -> TripartiteGraph:
     sizes = _check_sizes((n1, n2, n3))
     if n1 < n2 or n2 < n3:
         raise GraphError(f"host part sizes must satisfy n1 >= n2 >= n3, got ({n1},{n2},{n3})")
-    return TripartiteGraph.from_edges(sizes, host_edges(sizes))
+    b = GraphBuilder(sizes)
+    for e in host_edge_ints(sizes):
+        b._join(*e)
+    return b.build()
 
 
 def nonedge_runs(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
@@ -314,7 +328,7 @@ def nonedge_runs(g: _GraphReader) -> Iterator[tuple[int, int, int, int]]:
 
 def host_nonedges(g: TripartiteGraph) -> list[tuple[VertexRef, VertexRef]]:
     """Nonedges of g relative to the complete host on its own part sizes."""
-    return _walk_rows(nonedge_runs(g))
+    return _refs(_pairs(nonedge_runs(g)))
 
 
 def min_degrees(g: _GraphReader) -> tuple[int, int, int]:

@@ -22,7 +22,7 @@ implementations:
 
 * Bounded draws use rejection below the largest multiple of the bound:
   redraw while the 64-bit output is >= 2^64 - (2^64 mod k), then reduce
-  mod k.
+  mod k.  k must lie in 1..2^64: above it every output would be redrawn.
 
 * Shuffling is a Fisher-Yates pass from the last position down, swapping
   position i with position ``next_below(i + 1)``.
@@ -75,9 +75,9 @@ class XorShift64Star:
         return (s * _MULT) & _MASK
 
     def next_below(self, k: int) -> int:
-        """Uniform draw from [0, k) by rejection sampling."""
-        if k <= 0:
-            raise ValueError(f"bound must be positive, got {k}")
+        """Uniform draw from [0, k) by rejection sampling, for 1 <= k <= 2^64."""
+        if not 0 < k <= _TWO64:
+            raise ValueError(f"bound must be in 1..2^64, got {k}")
         limit = _TWO64 - (_TWO64 % k)
         while True:
             r = self.next_u64()

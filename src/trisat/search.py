@@ -2,11 +2,12 @@
 
 A subgraph of the complete host is pattern-saturated iff it is a *maximal*
 pattern-free subgraph, so the minimum over saturated subgraphs can be found
-by branching over host edges.  :func:`sat_exact` runs a depth-first
-branch-and-bound over the canonical edge order (include branch first) with
-three sound prunings: an included edge may never complete a copy of the
-pattern, the included count must stay below the incumbent, and every
-excluded edge must remain completable by the edges not yet excluded.
+by branching over host edges, numbered by their place in the int list
+``host_edge_ints``.  :func:`sat_exact` runs a depth-first branch-and-bound
+over the canonical edge order (include branch first) with three sound
+prunings: an included edge may never complete a copy of the pattern, the
+included count must stay below the incumbent, and every excluded edge
+must remain completable by the edges not yet excluded.
 Complete assignments that survive are exactly the saturated subgraphs.
 The search is one recursive function whose state travels in its
 arguments, so neither branch of a node has anything to undo.  Its core
@@ -39,8 +40,8 @@ import sys
 from dataclasses import dataclass
 
 from .containment import _layouts, contains_after
-from .graphs import (_STACK_MARGIN, GraphBuilder, TripartiteGraph, VertexRef, exact_int,
-                     host_edges, iso_equivalent, iso_invariant, iter_bits)
+from .graphs import (_STACK_MARGIN, GraphBuilder, TripartiteGraph, exact_int,
+                     host_edge_ints, iso_equivalent, iso_invariant, iter_bits, new_host)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -103,24 +104,28 @@ def _check_host_sizes(host_sizes) -> tuple[int, int, int]:
 
 
 def _mask_to_graph(sizes: tuple[int, int, int], edges: list, mask: int) -> TripartiteGraph:
-    return TripartiteGraph.from_edges(sizes, [edges[k - 1] for k in iter_bits(mask)])
+    b = GraphBuilder(sizes)
+    for k in iter_bits(mask):
+        b._join(*edges[k - 1])
+    return b.build()
 
 
 def pattern_edge_masks(sizes: tuple[int, int, int], pat: PatternSpec) -> list[int]:
     """Edge bitmasks (over the canonical host edge list) of every embedding
     of the pattern in the complete host, deduplicated and sorted.  The
     class-to-part layouts are the ones the containment search explores."""
-    idx = {e: k for k, e in enumerate(host_edges(sizes))}
+    idx = {e: k for k, e in enumerate(host_edge_ints(sizes))}
     plan = _layouts(pat.sizes, tuple(sizes))
+    at = [(v.part, v.index) for v in plan.verts]
     masks: set[int] = set()
     for full, _ in plan.layouts:
-        classes = [[plan.verts[b - 1] for b in iter_bits(m)] for m in full]
+        classes = [[at[x - 1] for x in iter_bits(m)] for m in full]
         for sel in itertools.product(*(itertools.combinations(vs, k)
                                        for vs, k in zip(classes, plan.sizes))):
             mask = 0
             for s1, s2 in itertools.combinations(sel, 2):
                 for u, v in itertools.product(s1, s2):
-                    mask |= 1 << idx[(u, v) if u.part < v.part else (v, u)]
+                    mask |= 1 << idx[u + v if u < v else v + u]
             masks.add(mask)
     return sorted(masks)
 
@@ -134,20 +139,20 @@ def swap_pairs(sizes: tuple[int, int, int]) -> list[tuple[tuple[int, int], ...]]
     above 1.  A swap's pairs come in the same order by p as by q, so the
     pair that decides the lex comparison is the first one decided.
     """
-    edges = host_edges(sizes)
+    edges = host_edge_ints(sizes)
     idx = {e: k for k, e in enumerate(edges)}
     bit = {}
     for i, n in zip((1, 2, 3), sizes):
         for a in range(2, n + 1):
             bit[i, a] = 1 << len(bit)
     pairs = []
-    for u, v in edges:
+    for i, a, j, b in edges:
+        # i < j, so lowering either index keeps the canonical orientation
         entries = []
-        for w, x in ((u, v), (v, u)):
-            if w.index > 1:
-                w1 = VertexRef(w.part, w.index - 1)
-                entries.append((bit[w.part, w.index],
-                                idx[(w1, x) if w.part < x.part else (x, w1)]))
+        if a > 1:
+            entries.append((bit[i, a], idx[i, a - 1, j, b]))
+        if b > 1:
+            entries.append((bit[j, b], idx[i, a, j, b - 1]))
         pairs.append(tuple(entries))
     return pairs
 
@@ -257,7 +262,7 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
         _check_count("node_budget", node_budget, 1)
     if max_host_edges is not None:
         _check_count("max_host_edges", max_host_edges, 0)
-    edges = host_edges(sizes)
+    edges = host_edge_ints(sizes)
     n_edges = len(edges)
     if max_host_edges is not None and n_edges > max_host_edges:
         raise SearchError(
@@ -315,7 +320,7 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
     OR over all subgraphs at once.  Guarded to hosts with at most 16 edges.
     """
     sizes = _check_host_sizes(host_sizes)
-    edges = host_edges(sizes)
+    edges = host_edge_ints(sizes)
     n_edges = len(edges)
     if n_edges > 16:
         raise SearchError(f"sat_exhaustive guard: host has {n_edges} > 16 edges")
@@ -367,7 +372,7 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     if exact_int(seed) is None:
         raise SearchError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
-    edges = host_edges(sizes)
+    edges = new_host(*sizes).edges()
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None
     trial_values: list[int] = []

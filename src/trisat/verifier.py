@@ -188,9 +188,10 @@ def residual_structure_check(g: TripartiteGraph,
     keep = []
     for i in PARTS:
         n, mask = g.part_sizes[i - 1], g.part_mask(i)
-        for a in hubs[i - 1]:
-            if not 1 <= (exact_int(a) or 0) <= n:
-                raise VerifierError(f"hub index {a!r} for part {i} is not an integer in 1..{n}")
+        for h in hubs[i - 1]:
+            a = exact_int(h)
+            if a is None or not 1 <= a <= n:
+                raise VerifierError(f"hub index {h!r} for part {i} is not an integer in 1..{n}")
             mask &= ~(1 << (a - 1))
         keep.append(mask)
     residual = g.induced(keep)

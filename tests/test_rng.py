@@ -70,6 +70,16 @@ def test_bounded_draws_in_range_and_deterministic():
     assert len(set(draws)) == 7
 
 
+def test_bounds_up_to_two_to_the_64_draw_and_larger_ones_raise():
+    # at k = 2^64 every output is accepted and is the draw itself; above it
+    # no output lies below the rejection limit, so the bound is refused
+    rng, twin = XorShift64Star.for_trial(3, 0), XorShift64Star.for_trial(3, 0)
+    assert [rng.next_below(2**64) for _ in range(8)] == [twin.next_u64() for _ in range(8)]
+    for k in (0, -1, 2**64 + 1, 2**65):
+        with pytest.raises(ValueError, match="bound must be in 1..2"):
+            rng.next_below(k)
+
+
 def test_shuffle_is_permutation_and_trial_dependent():
     rng = XorShift64Star.for_trial(1, 0)
     items = list(range(20))

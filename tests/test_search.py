@@ -14,8 +14,8 @@ from trisat import (PatternSpec, SearchError, construction1, construction_c4, en
                     f_con1_upper, f_con3_upper, f_con4_upper, f_con5_upper, f_sat_lll, f_sat_lll1, is_saturated, iso_equivalent, new_host,
                     sat_exact, sat_exhaustive, sat_greedy)
 from trisat import search
-from trisat.graphs import host_edges, iter_bits
-from trisat.search import pattern_edge_masks, _mask_to_graph
+from trisat.graphs import host_edge_ints, host_edges, iter_bits
+from trisat.search import pattern_edge_masks, swap_pairs, _mask_to_graph
 from trisat.containment import contains
 
 
@@ -63,7 +63,7 @@ def test_minimality_certificate():
     # no subgraph with value-1 edges is saturated (direct rescan)
     host_sizes, pat = (2, 2, 1), PatternSpec(1, 1, 1)
     r = sat_exhaustive(host_sizes, pat)
-    edges = host_edges(host_sizes)
+    edges = host_edge_ints(host_sizes)
     for mask in range(1 << len(edges)):
         if bin(mask).count("1") == r.value - 1:
             g = _mask_to_graph(host_sizes, edges, mask)
@@ -76,7 +76,7 @@ def test_pattern_edge_masks_agree_with_containment():
     for host_sizes, ps in [((2, 2, 2), (1, 1, 1)), ((3, 2, 2), (2, 2, 0)),
                            ((2, 2, 2), (2, 2, 1))]:
         pat = PatternSpec(*ps)
-        edges = host_edges(host_sizes)
+        edges = host_edge_ints(host_sizes)
         embeds = pattern_edge_masks(host_sizes, pat)
         for _ in range(60):
             mask = rnd.getrandbits(len(edges))
@@ -542,3 +542,20 @@ def test_exact_outputs_pinned_by_digest():
     assert len(_HOSTS_TO_27) == 32
     assert exact_digest() == (
         "fcc66ffc4b1358bfd07b243b0a668d79ece7af7fbcef26be719c38d96a0b9a33")
+
+
+def masks_and_swaps_digest() -> str:
+    """sha256 over the JSON of swap_pairs and pattern_edge_masks: per host, its
+    swap pairs and each pattern's embedding masks, on every host with at most
+    27 edges and on (4, 4, 3) and (4, 4, 4)."""
+    pats = [PatternSpec(*ps) for ps in ((1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 2, 0),
+                                        (3, 2, 0))]
+    objs = [[host, swap_pairs(host), [pattern_edge_masks(host, pat) for pat in pats]]
+            for host in _HOSTS_TO_27 + [(4, 4, 3), (4, 4, 4)]]
+    return hashlib.sha256(json.dumps(objs).encode()).hexdigest()
+
+
+def test_masks_and_swaps_pinned_by_digest():
+    # the branch engine's inputs, numbered over the canonical host edge list
+    assert masks_and_swaps_digest() == (
+        "74c038eb097b3f710d24f22cc547b3801b2d45da18c3a73567e9c5031e20f21a")

@@ -218,6 +218,17 @@ def test_residual_structure_check_rejects_non_integer_hubs(hub):
         residual_structure_check(new_host(2, 2, 2), [{hub}, set(), set()])
 
 
+@pytest.mark.parametrize("n, hubs", [(40, None), (80, [{70}, {75}, {80}])])
+def test_residual_structure_check_numpy_hubs_match_ints(n, hubs):
+    # construction 1's own hub sets, and a numpy index 70 whose shift by
+    # 69 overflows int64: a numpy hub index clears the same bit as its int
+    np = pytest.importorskip("numpy")
+    g = construction1(1, 1, n, n, n)
+    hubs = hubs or constructions.hub_sets("1", 1, 1, g.part_sizes)
+    assert (residual_structure_check(g, [{np.int64(a) for a in hs} for hs in hubs])
+            == residual_structure_check(g, hubs))
+
+
 def test_residual_structure_check_matches_brute_force():
     # an independent triple loop over the residual vertices: the first
     # triangle in (a, b, c) order and every masked degree
