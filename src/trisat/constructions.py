@@ -33,13 +33,15 @@ unless ``force=True``, is a host where the record's hypothesis fails --
 the regime under which saturation is proved (the verifier can judge a
 forced result).  The generators themselves check only what building
 needs: that hubs, triangles and windows fit.  Everything else stated per
-family -- builder, pattern, closed form, hub sets -- sits in one table
-that ``build``, ``pattern_for``, ``formula_for``, ``hub_sets`` and
-``smallest_guaranteed_n`` read.
+family -- builder, pattern, closed-form record, hub sets -- sits in one
+table that ``build``, ``pattern_for``, ``formula_for``, ``hub_sets`` and
+``smallest_guaranteed_n`` read; a record's signature names the
+parameters its family reads.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator
 
@@ -324,22 +326,14 @@ class _Family:
 
     builder: Callable[..., TripartiteGraph]  # (ns, l, m, p, variant, force)
     pattern: Callable[..., PatternSpec]  # (l, m, p)
-    formula: Callable[..., BoundRecord]  # (ns, l, m, p)
+    record: Callable[..., BoundRecord]  # the formulas record; its parameters are those read
     hubs: Callable[[int, int, int], range]  # (part size, l, m) -> S_i plus T_i
     threshold: Callable[[int, int], int]  # (l, m) -> smallest n3, or n if balanced
 
 
-def _balanced(which: str, ns: tuple[int, int, int]) -> int:
-    """The part size n of a balanced host K_{n,n,n}.  Sizes compare as exact
-    ints, so a float or bool equal to n is not n; the record checks n."""
-    if len({exact_int(n) for n in ns}) != 1:
-        raise ConstructionError(f"construction {which} needs a balanced host n1 = n2 = n3")
-    return ns[0]
-
-
 _CON1 = _Family(
     lambda ns, l, m, p, variant, force: construction1(l, m, *ns, force=force),
-    lambda l, m, p: PatternSpec(l, m, m), lambda ns, l, m, p: f_con1_upper(*ns, l, m),
+    lambda l, m, p: PatternSpec(l, m, m), f_con1_upper,
     lambda n, l, m: range(n - m + 1, n + 1), con1_threshold)
 
 _FAMILIES = {
@@ -348,23 +342,19 @@ _FAMILIES = {
         variant, l, m, *ns, force=force)),
     "3": _Family(
         lambda ns, l, m, p, variant, force: construction3(l, m, p, *ns, force=force),
-        lambda l, m, p: PatternSpec(l, m, p), lambda ns, l, m, p: f_con3_upper(*ns, l, m, p),
+        lambda l, m, p: PatternSpec(l, m, p), f_con3_upper,
         lambda n, l, m: range(1, m), lambda l, m: con3_threshold(l)),
     "4": _Family(
-        lambda ns, l, m, p, variant, force: construction4(
-            l, m, _balanced("4", ns), force=force),
-        lambda l, m, p: PatternSpec(l, m, m),
-        lambda ns, l, m, p: f_con4_upper(_balanced("4", ns), l, m),
+        lambda ns, l, m, p, variant, force: construction4(l, m, ns[0], force=force),
+        lambda l, m, p: PatternSpec(l, m, m), f_con4_upper,
         lambda n, l, m: range(1, m + t_of(l, m) + 1), con4_threshold),
     "5": _Family(
-        lambda ns, l, m, p, variant, force: construction5(
-            l, m, p, _balanced("5", ns), force=force),
-        lambda l, m, p: PatternSpec(l, m, p),
-        lambda ns, l, m, p: f_con5_upper(_balanced("5", ns), l, m, p),
+        lambda ns, l, m, p, variant, force: construction5(l, m, p, ns[0], force=force),
+        lambda l, m, p: PatternSpec(l, m, p), f_con5_upper,
         lambda n, l, m: range(1, m + t_of(l, m)), con5_threshold),
     "c4": _Family(
         lambda ns, l, m, p, variant, force: construction_c4(*ns, force=force),
-        lambda l, m, p: PatternSpec(2, 2, 0), lambda ns, l, m, p: f_c4(*ns),
+        lambda l, m, p: PatternSpec(2, 2, 0), f_c4,
         lambda n, l, m: range(1, 2), lambda l, m: c4_threshold()),
 }
 
@@ -413,19 +403,26 @@ def formula_for(which: str, n1: int, n2: int, n3: int, l: int | None = None,
                 variant: int | None = None) -> BoundRecord:
     """The closed-form edge count matching a construction.
 
-    Raises a :class:`ConstructionError` with the record's message where the
-    family's record refuses, and refuses a parameter given (not None) that
-    the family does not read: l, m or p unless its record names it, variant
-    unless the family is construction 2, and construction 2's variant
-    unless it is 1, 2 or 3, before any host check."""
+    The family's record gets the parameters its signature names (n, for a
+    balanced family, from a host of three equal exact ints).  Raises a
+    :class:`ConstructionError` with the record's message where the record
+    refuses, and refuses a parameter given (not None) that the family does
+    not read: l, m or p unless its record names it, variant unless the
+    family is construction 2, and construction 2's variant unless it is 1,
+    2 or 3, before any host check."""
     if which == "2" and variant is not None:
         _check_variant(variant)
+    record = _family(which).record
+    names = inspect.signature(record).parameters
+    if "n" in names and len({exact_int(n) for n in (n1, n2, n3)}) != 1:
+        raise ConstructionError(f"construction {which} needs a balanced host n1 = n2 = n3")
+    given = {"n1": n1, "n2": n2, "n3": n3, "n": n1, "l": l, "m": m, "p": p}
     try:
-        rec = _family(which).formula((n1, n2, n3), l, m, p)
+        rec = record(**{k: given[k] for k in names})
     except FormulaError as exc:
         raise ConstructionError(str(exc)) from None
     unread = [k for k, x in (("l", l), ("m", m), ("p", p), ("variant", variant))
-              if x is not None and k not in rec.params and (k, which) != ("variant", "2")]
+              if x is not None and k not in names and (k, which) != ("variant", "2")]
     if unread:
         raise ConstructionError(f"construction {which} does not read {', '.join(unread)}")
     return rec

@@ -35,13 +35,13 @@ uv.  A required endpoint narrows every class but its own by its row.  A
 layout where a class has fewer candidates than members still to pick is
 skipped before any search, and the fill ``_fill`` takes the last class's
 lowest candidates directly, since every pick before it kept enough of
-them.  When only one class still needs members, as in every K(1,1,1)
-query, :func:`contains_after` takes its lowest candidates without calling
-``_fill``, which would pick the same ones.  :func:`contains` and
-:func:`contains_after` return an :class:`Embedding` that holds the chosen
-class masks and the plan's vertices by position; its vertex sets are
-built only when ``classes`` is first read, so a caller that tests the
-answer against None, as the greedy sampler does, builds none.
+them; with one class to fill, as in every K(1,1,1) query, that is the
+whole fill.  :func:`contains_after` places u and v with the graph's own
+pair check, ``_place``.  :func:`contains` and :func:`contains_after`
+return an :class:`Embedding` that holds the chosen class masks and the
+plan's vertices by position; its vertex sets are built only when
+``classes`` is first read, so a caller that tests the answer against
+None, as the greedy sampler does, builds none.
 
 The verifier asks one question per host nonedge of a pattern-free graph,
 whether adding it completes a copy, and ``_uncompleted`` answers all of
@@ -63,7 +63,7 @@ import itertools
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
-from .graphs import PARTS, VertexRef, iter_bits, nonedge_runs
+from .graphs import PARTS, GraphError, VertexRef, iter_bits, nonedge_runs
 from .patterns import Embedding, PatternSpec
 
 
@@ -96,21 +96,17 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
     the end, which puts back uv.  Picked members are never endpoints, so
     every other row is read from g as is.
     """
-    if u.part == v.part:
-        raise ContainmentError(f"{u} and {v} lie in the same part")
-    ns = g.part_sizes
-    for x in (u, v):
-        if x.index > ns[x.part - 1]:
-            raise ContainmentError(f"{x} out of range for part sizes {ns}")
-    off = g.offsets
-    xu, xv = off[u.part - 1] + u.index - 1, off[v.part - 1] + v.index - 1
+    try:
+        xu, xv = g._place(u.part, u.index, v.part, v.index)
+    except GraphError as exc:
+        raise ContainmentError(str(exc)) from None
     # the rows themselves: GraphBuilder.rows would copy a builder's list
     adj = g._adj
     ru, rv = adj[xu], adj[xv]
     if (ru >> xv) & 1:
         raise ContainmentError(f"{u}{v} is already an edge")
     both = ru & rv
-    plan = _layouts(pat.sizes, ns)
+    plan = _layouts(pat.sizes, g.part_sizes)
     for full, cu, cv, need, fill in plan.ends[u.part - 1][v.part - 1]:
         cand = [m & both for m in full]
         cand[cu], cand[cv] = full[cu] & rv, full[cv] & ru
@@ -118,13 +114,7 @@ def contains_after(g, pat: PatternSpec, u: VertexRef, v: VertexRef) -> Optional[
             if cand[c].bit_count() < need[c]:
                 break
         else:
-            if len(fill) > 1:
-                chosen = _fill(adj, fill, cand, need)
-            else:
-                # at most one class still needs members: _fill would take its lowest
-                chosen = [0] * len(cand)
-                for c in fill:
-                    chosen[c] = _lowest(cand[c], need[c])
+            chosen = _fill(adj, fill, cand, need)
             if chosen is not None:
                 chosen[cu] |= 1 << xu
                 chosen[cv] |= 1 << xv
@@ -319,10 +309,15 @@ def _fill(adj, order, cand, need) -> Optional[list[int]]:
     candidates, at least ``need`` of them.  A pick narrows the masks of the
     later classes by its row and is dropped as soon as one of them falls
     below its need, so the last class always has enough candidates when its
-    turn comes and takes its lowest ones without a search.
+    turn comes and takes its lowest ones without a search; a lone class, as
+    in every K(1,1,1) query of :func:`contains_after`, takes them at once.
     """
     chosen = [0] * len(cand)
     last = len(order) - 1
+    if last < 1:
+        for c in order:
+            chosen[c] = _lowest(cand[c], need[c])
+        return chosen
 
     def rec(k: int, cand: list[int], left: int, pool: int) -> bool:
         if not left:

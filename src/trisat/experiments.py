@@ -42,6 +42,7 @@ from __future__ import annotations
 import json
 
 from . import constructions
+from .graphs import host_edge_count
 from .patterns import PatternSpec
 from .search import sat_exact, sat_greedy
 from .serialization import serialize
@@ -163,8 +164,7 @@ def run_table(spec_obj: object) -> str:
                 pat = constructions.pattern_for(which, l=l, m=m, p=p)
                 res = sat_greedy(host, pat, trials=params["trials"], seed=params["seed"])
                 row["greedy_min"] = str(res.value)
-                n1, n2, n3 = host
-                if n1 * n2 + n1 * n3 + n2 * n3 <= 16:
+                if host_edge_count(host) <= 16:
                     row["exact_value_or_blank"] = str(sat_exact(host, pat).value)
         else:
             pat = PatternSpec(*params["pattern"])

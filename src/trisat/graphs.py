@@ -21,7 +21,8 @@ one.  The canonical edge order used everywhere (iteration, serialization,
 search) is: part pair (1,2) before (1,3) before (2,3), and
 lexicographic by (a, b) within a pair.  Edge lists are walked as
 ``(i, a, j, b)`` ints (``edge_ints``, the host's ``host_edge_ints``), and
-``VertexRef`` pairs are views built at the end of a walk.
+``VertexRef`` pairs are views built at the end of a walk, and
+``host_edge_count`` counts the host's edges without a walk.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ class _GraphReader:
         self.check_vertex(v)
         return self._offsets[v.part - 1] + v.index - 1
 
+    def _place(self, i: int, a: int, j: int, b: int) -> tuple[int, int]:
+        """The positions of v_i^a and v_j^b in distinct parts, checked on the
+        plain ints; only a refused pair builds its refs, for the message."""
+        sizes = self.part_sizes
+        if i != j and 0 < i < 4 and 0 < j < 4 and 0 < a <= sizes[i - 1] and 0 < b <= sizes[j - 1]:
+            return self._offsets[i - 1] + a - 1, self._offsets[j - 1] + b - 1
+        u, v = VertexRef(i, a), VertexRef(j, b)
+        if i == j:
+            raise GraphError(f"{u} and {v} lie in the same part")
+        return self._pos(u), self._pos(v)
+
     def has_edge(self, u: VertexRef, v: VertexRef) -> bool:
         return bool((self._adj[self._pos(u)] >> self._pos(v)) & 1)
 
@@ -209,13 +221,13 @@ class TripartiteGraph(_GraphReader):
 class GraphBuilder(_GraphReader):
     """Mutable edge-set stage for assembling a TripartiteGraph.
 
-    Every edge write is ``_join(i, a, j, b)`` on plain ints: it checks
-    parts, ranges and absence, then sets the two row bits.  ``add_edge`` is
-    that write on a pair of refs, and the decoders of
-    :mod:`trisat.serialization` call it with the ints they parsed.  A
-    refused edge raises the GraphError of its first failed check: the
-    refs' own checks, then same part, then u's range, then v's range,
-    then duplicate; ``remove_edge`` shares the position step.
+    Every edge write is ``_join(i, a, j, b)`` on plain ints: the reader's
+    ``_place`` checks parts and ranges, ``_join`` absence, then it sets the
+    two row bits.  ``add_edge`` is that write on a pair of refs, and the
+    decoders of :mod:`trisat.serialization` call it with the ints they
+    parsed.  A refused edge raises the GraphError of its first failed
+    check: the refs' own checks, then same part, then u's range, then v's
+    range, then duplicate; ``remove_edge`` shares the position step.
     """
 
     __slots__ = ()
@@ -235,17 +247,6 @@ class GraphBuilder(_GraphReader):
         b._adj = list(g._adj)
         b._num_edges = g.num_edges
         return b
-
-    def _place(self, i: int, a: int, j: int, b: int) -> tuple[int, int]:
-        """The positions of v_i^a and v_j^b in distinct parts, checked on the
-        plain ints; only a refused pair builds its refs, for the message."""
-        sizes = self.part_sizes
-        if i != j and 0 < i < 4 and 0 < j < 4 and 0 < a <= sizes[i - 1] and 0 < b <= sizes[j - 1]:
-            return self._offsets[i - 1] + a - 1, self._offsets[j - 1] + b - 1
-        u, v = VertexRef(i, a), VertexRef(j, b)
-        if i == j:
-            raise GraphError(f"{u} and {v} lie in the same part")
-        return self._pos(u), self._pos(v)
 
     def _join(self, i: int, a: int, j: int, b: int) -> None:
         """Add the edge v_i^a v_j^b: the one edge write, on plain ints."""
@@ -303,6 +304,12 @@ def host_edge_ints(sizes: tuple[int, int, int]) -> list[tuple[int, int, int, int
     in canonical order: the one host walk, which exact search numbers."""
     sizes = _check_sizes(sizes)
     return list(_pairs(_row_runs(sizes, lambda i, a, j: (1 << sizes[j - 1]) - 1)))
+
+
+def host_edge_count(sizes: tuple[int, int, int]) -> int:
+    """The number of edges of the complete host on these part sizes."""
+    n1, n2, n3 = _check_sizes(sizes)
+    return n1 * n2 + n1 * n3 + n2 * n3
 
 
 def host_edges(sizes: tuple[int, int, int]) -> list[tuple[VertexRef, VertexRef]]:

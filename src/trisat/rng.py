@@ -18,7 +18,8 @@ implementations:
       return z XOR (z >> 31)
 
   A zero state is replaced by 0x9E3779B97F4A7C15 (xorshift state must be
-  nonzero).
+  nonzero).  The seed is read modulo 2^64; the greedy sampler refuses a
+  seed outside 0..2^64 - 1, which would alias one inside.
 
 * Bounded draws use rejection below the largest multiple of the bound:
   redraw while the 64-bit output is >= 2^64 - (2^64 mod k), then reduce

@@ -40,8 +40,8 @@ import sys
 from dataclasses import dataclass
 
 from .containment import _layouts, contains_after
-from .graphs import (_STACK_MARGIN, GraphBuilder, TripartiteGraph, exact_int,
-                     host_edge_ints, iso_equivalent, iso_invariant, iter_bits, new_host)
+from .graphs import (_STACK_MARGIN, GraphBuilder, TripartiteGraph, exact_int, host_edge_count,
+                     host_edge_ints, host_edges, iso_equivalent, iso_invariant, iter_bits)
 from .patterns import PatternSpec
 from .rng import XorShift64Star
 from .serialization import to_json_obj
@@ -260,11 +260,8 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
                max_host_edges: int | None) -> SearchResult:
     if node_budget is not None:
         _check_count("node_budget", node_budget, 1)
-    if max_host_edges is not None:
-        _check_count("max_host_edges", max_host_edges, 0)
-    edges = host_edge_ints(sizes)
-    n_edges = len(edges)
-    if max_host_edges is not None and n_edges > max_host_edges:
+    n_edges = host_edge_count(sizes)
+    if max_host_edges is not None and n_edges > _check_count("max_host_edges", max_host_edges, 0):
         raise SearchError(
             f"host has {n_edges} edges, above the guard {max_host_edges}; "
             f"raise max_host_edges to search anyway")
@@ -277,6 +274,7 @@ def _run_exact(sizes: tuple[int, int, int], pat: PatternSpec, *,
                                             swap_pairs(sizes), enumerate_all, node_budget)
     # one witness per part-respecting isomorphism class; only graphs with
     # equal invariants can be isomorphic
+    edges = host_edge_ints(sizes)
     witnesses: list[TripartiteGraph] = []
     keys: list[tuple] = []
     for g in (_mask_to_graph(sizes, edges, m) for m in masks):
@@ -320,8 +318,7 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
     OR over all subgraphs at once.  Guarded to hosts with at most 16 edges.
     """
     sizes = _check_host_sizes(host_sizes)
-    edges = host_edge_ints(sizes)
-    n_edges = len(edges)
+    n_edges = host_edge_count(sizes)
     if n_edges > 16:
         raise SearchError(f"sat_exhaustive guard: host has {n_edges} > 16 edges")
     embeds = pattern_edge_masks(sizes, pat)
@@ -353,6 +350,7 @@ def sat_exhaustive(host_sizes, pat: PatternSpec) -> SearchResult:
                 completed |= holding(em & ~(1 << e))
         sat &= completed
     value, table = next((k, t & sat) for k, t in enumerate(by_size) if t & sat)
+    edges = host_edge_ints(sizes)
     witnesses = [_mask_to_graph(sizes, edges, s - 1) for s in iter_bits(table)]
     return SearchResult(value=value, witnesses=witnesses, nodes_explored=total,
                         method="exhaustive")
@@ -365,26 +363,28 @@ def sat_greedy(host_sizes, pat: PatternSpec, trials: int, seed: int) -> SearchRe
     by (seed, trial index) and keeps an edge iff the graph stays
     pattern-free, so every trial output is saturated.  Returns the minimum
     over trials; ties go to the earliest trial.  The returned witness is
-    re-verified before being reported.
+    re-verified before being reported.  The seed must lie in 0..2^64 - 1,
+    which the generator reads modulo 2^64.
     """
     sizes = _check_host_sizes(host_sizes)
     trials = _check_count("trials", trials, 1)
     if exact_int(seed) is None:
         raise SearchError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
-    edges = new_host(*sizes).edges()
+    if not 0 <= seed < 1 << 64:
+        raise SearchError(f"seed must lie in 0..2^64 - 1, got {seed}")
+    edges = host_edges(sizes)
     best_val: int | None = None
     best_graph: TripartiteGraph | None = None
     trial_values: list[int] = []
     scanned = 0
     for k in range(trials):
         rng = XorShift64Star.for_trial(seed, k)
-        order = list(range(len(edges)))
+        order = list(edges)
         rng.shuffle(order)
         b = GraphBuilder(sizes)
-        for e in order:
+        for u, v in order:
             scanned += 1
-            u, v = edges[e]
             if contains_after(b, pat, u, v) is None:
                 b.add_edge(u, v)
         g = b.build()

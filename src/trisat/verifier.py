@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .containment import _uncompleted, contains, contains_after
 # bench/tracing.py patches the host_nonedges binding of this module
 from .graphs import (PARTS, TripartiteGraph, VertexRef, degree_profile, exact_int,
-                     host_nonedges, min_degrees)
+                     host_edge_count, host_nonedges, min_degrees)
 from .patterns import Embedding, PatternSpec
 
 
@@ -79,13 +79,12 @@ def is_saturated(g: TripartiteGraph, host_sizes: tuple[int, int, int],
     row bit counts by ``graphs.min_degrees``, which also gives
     ``degree_profile(g).delta``.
     """
-    if tuple(host_sizes) != g.part_sizes:
+    if tuple(exact_int(n) for n in host_sizes) != g.part_sizes:
         raise VerifierError(
             f"graph part sizes {g.part_sizes} differ from host sizes {tuple(host_sizes)}")
     witness = contains(g, pat)
     free = witness is None
-    n1, n2, n3 = g.part_sizes
-    checked = n1 * n2 + n1 * n3 + n2 * n3 - g.num_edges
+    checked = host_edge_count(g.part_sizes) - g.num_edges
     violations: list[tuple[VertexRef, VertexRef]] = []
     if free:
         for k, u, v in _uncompleted(g, pat):

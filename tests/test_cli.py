@@ -120,6 +120,21 @@ def test_sat_exact_and_exhaustive(capsys):
     assert json.loads(stdout)["value"] == 6
 
 
+def test_sat_refuses_a_host_above_the_edge_guard(capsys):
+    code, stdout, _ = run(capsys, "sat", "--host", "5,5,5", "--pattern", "1,1,1")
+    assert code == 2
+    assert stdout.count("\n") == 1
+    assert json.loads(stdout) == {
+        "error": "host has 75 edges, above the guard 40; raise max_host_edges to search anyway"}
+
+
+def test_sat_greedy_refuses_a_seed_above_the_generator_range(capsys):
+    code, stdout, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "1,1,1",
+                          "--method", "greedy", "--seed", str(1 << 64))
+    assert code == 2
+    assert json.loads(stdout) == {"error": f"seed must lie in 0..2^64 - 1, got {1 << 64}"}
+
+
 def test_sat_enumerate_writes_witness_files(tmp_path, capsys):
     prefix = str(tmp_path / "w_")
     code, stdout, _ = run(capsys, "sat", "--host", "2,2,2", "--pattern", "2,2,0",

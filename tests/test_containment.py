@@ -211,6 +211,25 @@ def test_contains_after_errors():
         contains_after(empty, PatternSpec(1, 1, 1), VertexRef(1, 1), VertexRef(1, 2))  # same part
 
 
+_REFUSALS = [((1, 1), (1, 2), "v1^1 and v1^2 lie in the same part"),
+             ((1, 5), (1, 9), "v1^5 and v1^9 lie in the same part"),
+             ((1, 3), (2, 1), "v1^3 out of range for part sizes (2, 2, 2)"),
+             ((1, 1), (2, 3), "v2^3 out of range for part sizes (2, 2, 2)"),
+             ((3, 5), (1, 9), "v3^5 out of range for part sizes (2, 2, 2)"),
+             ((1, 1), (2, 1), "v1^1v2^1 is already an edge")]
+
+
+@pytest.mark.parametrize("u, v, message", _REFUSALS)
+def test_contains_after_refusals_on_both_graph_kinds(u, v, message):
+    # same part, then u's range, then v's range, then an edge already there
+    b = GraphBuilder((2, 2, 2))
+    b.add_edge(VertexRef(1, 1), VertexRef(2, 1))
+    for g in (new_host(2, 2, 2), b):
+        with pytest.raises(ContainmentError) as info:
+            contains_after(g, PatternSpec(1, 1, 1), VertexRef(*u), VertexRef(*v))
+        assert str(info.value) == message
+
+
 def test_contains_after_equals_naive_recheck():
     # 200 random pattern-free instances; existence must match the naive
     # oracle evaluated on the graph with the edge actually added

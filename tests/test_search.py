@@ -169,6 +169,33 @@ def test_guards():
         sat_exact((2, 3, 2), PatternSpec(1, 1, 1))  # host ordering
 
 
+def test_edge_guards_run_before_any_host_walk(monkeypatch):
+    # the guards read the host's edge count, so refusing a large host lists none of its edges
+    def no_walk(sizes):
+        raise AssertionError(f"host {sizes} walked before its guard")
+
+    monkeypatch.setattr(search, "host_edge_ints", no_walk)
+    pat = PatternSpec(1, 1, 1)
+    for fn in (sat_exact, enumerate_optima):
+        with pytest.raises(SearchError, match=r"^host has 270000 edges, above the guard 40; "):
+            fn((300, 300, 300), pat)
+    with pytest.raises(SearchError, match=r"^sat_exhaustive guard: host has 75 > 16 edges$"):
+        sat_exhaustive((5, 5, 5), pat)
+
+
+@pytest.mark.parametrize("seed", [-1, 1 << 64, -(1 << 64)])
+def test_greedy_refuses_seeds_outside_the_generator_range(seed):
+    # the generator reads a seed modulo 2^64, so -1 would alias 2^64 - 1 and 2^64 alias 0
+    with pytest.raises(SearchError, match=r"^seed must lie in 0\.\.2\^64 - 1, got "):
+        sat_greedy((2, 2, 2), PatternSpec(1, 1, 1), 2, seed)
+
+
+def test_greedy_accepts_both_ends_of_the_seed_range():
+    for seed in (0, (1 << 64) - 1, np.uint64((1 << 64) - 1)):
+        r = sat_greedy((2, 2, 2), PatternSpec(1, 1, 1), 2, seed)
+        assert r.seed == int(seed) and r.value >= 6
+
+
 @pytest.mark.parametrize("sizes", [(3.7, 3, 3), ("3", 3, 3), (True, 1, 1), (2, 2, 1.0),
                                    (2, 2)])
 @pytest.mark.parametrize("fn", [sat_exact, enumerate_optima, sat_exhaustive,

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from trisat import (GraphBuilder, PatternSpec, TripartiteGraph, VertexRef, VerifierError,
@@ -147,6 +148,16 @@ def test_monotone_refutation():
 def test_size_mismatch_error():
     with pytest.raises(VerifierError):
         is_saturated(new_host(2, 2, 2), (3, 2, 2), PatternSpec(1, 1, 1))
+
+
+def test_host_sizes_compare_as_integers():
+    # a float or bool equal to a part size is not that size; numpy integers are
+    g, pat = construction1(1, 1, 4, 4, 4), PatternSpec(1, 1, 1)
+    with pytest.raises(VerifierError, match=r"differ from host sizes \(4\.0, 4, 4\)$"):
+        is_saturated(g, (4.0, 4, 4), pat)
+    with pytest.raises(VerifierError, match=r"differ from host sizes \(True, True, True\)$"):
+        is_saturated(GraphBuilder((1, 1, 1)).build(), (True, True, True), pat)
+    assert is_saturated(g, tuple(np.int64(4) for _ in range(3)), pat).is_saturated
 
 
 def test_violating_nonedges_refail_on_recheck():
